@@ -85,13 +85,17 @@ func tuplesEqual(a, b []value.Tuple) bool {
 	return true
 }
 
-// TestRoundTripBoundaries pins FromRows → AppendRows as the identity at
-// every boundary size.
+// TestRoundTripBoundaries pins Writer.AppendTuple → AppendRows as the
+// identity at every boundary size.
 func TestRoundTripBoundaries(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range boundarySizes {
 		rows := randRows(rng, n, 4)
-		bs := FromRows(rows, 4)
+		w := NewWriter(4)
+		for _, r := range rows {
+			w.AppendTuple(r)
+		}
+		bs := w.Finish()
 		if got := Rows(bs); got != n {
 			t.Fatalf("n=%d: Rows=%d", n, got)
 		}

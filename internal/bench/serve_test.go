@@ -2,6 +2,7 @@ package bench
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -64,7 +65,7 @@ func TestServeSoak(t *testing.T) {
 	v := vs["AllReplicated"]
 
 	var totals struct {
-		ok, failed, rejected, deadline, epochRolls, cacheMisses int64
+		ok, failed, rejected, deadline, allDown, epochRolls, cacheMisses int64
 	}
 	for sch := 0; sch < schedules; sch++ {
 		// Fresh partitioned data per schedule: the write stream below
@@ -119,8 +120,8 @@ func TestServeSoak(t *testing.T) {
 
 		// A live write stream rolling the published epoch under the soak:
 		// inserts into region, which no prepared query reads, so every
-		// oracle stays valid across epochs while the plan cache must keep
-		// invalidating.
+		// oracle stays valid across epochs. Plans are keyed on the query
+		// alone, so the rolls must not make the plan cache miss.
 		writerStop := make(chan struct{})
 		var writerDone sync.WaitGroup
 		var rolls atomic.Int64
@@ -147,6 +148,7 @@ func TestServeSoak(t *testing.T) {
 		tenants := []string{"gold", "silver", "bronze"}
 		workers := 6
 		perWorker := 15
+		var allDown atomic.Int64
 		var wg sync.WaitGroup
 		errs := make(chan error, workers*perWorker)
 		for w := 0; w < workers; w++ {
@@ -167,6 +169,9 @@ func TestServeSoak(t *testing.T) {
 					if err != nil {
 						if !typedServeFailure(err) {
 							errs <- err
+						}
+						if errors.Is(err, engine.ErrAllNodesDown) {
+							allDown.Add(1)
 						}
 						continue
 					}
@@ -193,10 +198,17 @@ func TestServeSoak(t *testing.T) {
 		if met.Completed+met.Failed+met.DeadlineExceeded+sumRejected(met.Rejected) != met.Submitted {
 			t.Fatalf("schedule %d: outcome accounting leak: %+v", sch, met)
 		}
+		// Each worker misses a query's plan at most once, before any
+		// worker has cached it, whatever the epoch rolls.
+		if bound := int64(workers * len(serveQueries)); met.PlanCacheMisses > bound {
+			t.Fatalf("schedule %d: %d plan-cache misses across %d epoch rolls, want at most %d",
+				sch, met.PlanCacheMisses, rolls.Load(), bound)
+		}
 		totals.ok += met.Completed
 		totals.failed += met.Failed
 		totals.deadline += met.DeadlineExceeded
 		totals.rejected += sumRejected(met.Rejected)
+		totals.allDown += allDown.Load()
 		totals.epochRolls += rolls.Load()
 		totals.cacheMisses += met.PlanCacheMisses
 	}
@@ -206,15 +218,8 @@ func TestServeSoak(t *testing.T) {
 	if totals.epochRolls == 0 {
 		t.Fatal("write stream never rolled an epoch")
 	}
-	// Epoch rolls force rewrite-cache misses well beyond the 3 queries ×
-	// schedules cold-start floor; if misses sit at the floor, the
-	// epoch-keyed invalidation is broken.
-	if totals.cacheMisses <= int64(schedules*len(serveQueries)) {
-		t.Fatalf("plan cache missed only %d times across %d epoch rolls: invalidation broken",
-			totals.cacheMisses, totals.epochRolls)
-	}
-	t.Logf("soak: %d schedules, ok=%d failed=%d deadline=%d rejected=%d, %d epoch rolls, %d plan-cache misses",
-		schedules, totals.ok, totals.failed, totals.deadline, totals.rejected, totals.epochRolls, totals.cacheMisses)
+	t.Logf("soak: %d schedules, ok=%d failed=%d (all-nodes-down %d) deadline=%d rejected=%d, %d epoch rolls, %d plan-cache misses",
+		schedules, totals.ok, totals.failed, totals.allDown, totals.deadline, totals.rejected, totals.epochRolls, totals.cacheMisses)
 	verifyLeaks()
 }
 

@@ -504,7 +504,7 @@ func (l *Loader) applySteps(it *Intent, stage fault.WriteStage, stepIdx int) err
 		for _, s := range st.Sets {
 			nr := part.Rows[s.Row].Clone()
 			nr[s.Col] = s.Val
-			part.Rows[s.Row] = nr
+			part.SetRow(s.Row, nr)
 		}
 		if len(st.Deletes) > 0 {
 			drop := make(map[int]bool, len(st.Deletes))

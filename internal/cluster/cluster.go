@@ -15,9 +15,10 @@
 // execution: an admission gate (bounded concurrent queries with a queue
 // timeout, so fault storms shed load instead of amplifying), a latency
 // sampler that prices the hedging delay for straggler duplicates, and a
-// per-health-epoch cache of survivor indexes and placements, so degraded
-// queries resolve "which surviving partition can serve p" once per epoch
-// instead of once per scan.
+// per-health-epoch cache of placements, so degraded queries resolve
+// "which surviving node executes p" once per epoch instead of once per
+// query. Whether p's data survives is a property of the table version
+// (table.Version.Unrecoverable), not of the cluster.
 //
 // A nil *Cluster is valid everywhere and disables the layer, mirroring
 // the nil-injector convention of internal/fault.
@@ -29,10 +30,9 @@ import (
 	"fmt"
 	"sync"
 
-	"pref/internal/table"
 	"time"
 
-	"pref/internal/value"
+	"pref/internal/table"
 )
 
 // Typed errors surfaced to query callers.
@@ -134,8 +134,8 @@ type node struct {
 
 // Stats is a snapshot of the cluster's cross-query counters.
 type Stats struct {
-	// Epoch counts health-state transitions; placement and survivor-index
-	// caches are keyed by it.
+	// Epoch counts health-state transitions; the placement cache is keyed
+	// by it.
 	Epoch int
 	// Admitted and Rejected count queries through the admission gate.
 	Admitted int64
@@ -178,13 +178,9 @@ type Cluster struct {
 	stats  Stats
 	closed bool
 
-	// surv caches survivor key indexes per (table, effective-down) key,
-	// stamped with the data epoch they were built over; place caches
-	// buddy maps per effective-down key. Both reset on health-epoch
-	// change, and surv entries additionally miss on data-epoch mismatch.
-	surv     map[string]survEntry
-	place    map[string][]int
-	cacheGen int
+	// place caches buddy maps per effective-down key; it resets on
+	// health-epoch change.
+	place map[string][]int
 
 	// sem is the admission semaphore (nil = unbounded).
 	sem chan struct{}
@@ -214,7 +210,6 @@ func New(opt Options) *Cluster {
 	c := &Cluster{
 		opt:   opt,
 		nodes: make([]node, opt.Nodes),
-		surv:  make(map[string]survEntry),
 		place: make(map[string][]int),
 		jobs:  make(chan rebuildJob, opt.Nodes),
 	}
@@ -453,9 +448,6 @@ func (c *Cluster) setState(nodeID int, s State) {
 	}
 	c.epoch++
 	c.stats.Epoch = c.epoch
-	if len(c.surv) > 0 {
-		c.surv = make(map[string]survEntry)
-	}
 	if len(c.place) > 0 {
 		c.place = make(map[string][]int)
 	}
@@ -507,43 +499,9 @@ func (c *Cluster) Stats() Stats {
 	return c.stats
 }
 
-// survEntry is one cached survivor index stamped with the data epoch it
-// was built over.
-type survEntry struct {
-	epoch int64
-	idx   map[value.Key]bool
-}
-
-// SurvivorIndex returns the cached survivor key index for a table under
-// the given effective-down key and data epoch, building it with build on
-// a miss. The cache is invalidated by health-state transitions and, per
-// entry, by data-epoch mismatches — an index built over epoch e must not
-// serve a query pinned to epoch e' whose write batch changed the
-// surviving copies. This turns the per-scan survivor sweep of query-time
-// recovery into a once-per-(health, data)-epoch computation. Concurrent
-// first callers may build twice; last write wins, both results are
-// identical for the same epoch.
-func (c *Cluster) SurvivorIndex(tbl, downKey string, epoch int64, build func() map[value.Key]bool) map[value.Key]bool {
-	if c == nil {
-		return build()
-	}
-	key := tbl + "|" + downKey
-	c.mu.Lock()
-	if e, ok := c.surv[key]; ok && e.epoch == epoch {
-		c.mu.Unlock()
-		return e.idx
-	}
-	c.mu.Unlock()
-	idx := build()
-	c.mu.Lock()
-	c.surv[key] = survEntry{epoch: epoch, idx: idx}
-	c.mu.Unlock()
-	return idx
-}
-
 // Placement returns the cached executing-node map for the given
-// effective-down key, building it with build on a miss. Same epoch-keyed
-// contract as SurvivorIndex.
+// effective-down key, building it with build on a miss. The cache is
+// dropped on every health-state transition.
 func (c *Cluster) Placement(downKey string, build func() ([]int, error)) ([]int, error) {
 	if c == nil {
 		return build()

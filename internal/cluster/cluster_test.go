@@ -83,9 +83,9 @@ func TestNilClusterIsDisabled(t *testing.T) {
 	c.WaitRebuilds()
 	c.Close()
 	built := 0
-	idx := c.SurvivorIndex("t", "0000", 0, func() map[value.Key]bool { built++; return map[value.Key]bool{} })
-	if built != 1 || idx == nil {
-		t.Fatal("nil cluster SurvivorIndex must pass through to build")
+	dst, err := c.Placement("0000", func() ([]int, error) { built++; return []int{0}, nil })
+	if built != 1 || err != nil || len(dst) != 1 {
+		t.Fatal("nil cluster Placement must pass through to build")
 	}
 }
 
@@ -132,27 +132,21 @@ func TestBreakerTripAndFSM(t *testing.T) {
 	}
 }
 
-// TestEpochInvalidatesCaches: survivor-index and placement caches are
-// reused within an epoch and dropped on a health transition.
+// TestEpochInvalidatesCaches: the placement cache is reused within an
+// epoch and dropped on a health transition.
 func TestEpochInvalidatesCaches(t *testing.T) {
 	c := newTestCluster(t, Options{TripAfter: 1})
-	builds := 0
-	build := func() map[value.Key]bool { builds++; return map[value.Key]bool{} }
-	c.SurvivorIndex("t", "0000", 0, build)
-	c.SurvivorIndex("t", "0000", 0, build)
-	if builds != 1 {
-		t.Fatalf("builds = %d, want 1 (cached within epoch)", builds)
-	}
 	places := 0
-	c.Placement("0000", func() ([]int, error) { places++; return []int{0, 1, 2, 3}, nil })
-	c.Placement("0000", func() ([]int, error) { places++; return []int{0, 1, 2, 3}, nil })
+	build := func() ([]int, error) { places++; return []int{0, 1, 2, 3}, nil }
+	c.Placement("0000", build)
+	c.Placement("0000", build)
 	if places != 1 {
 		t.Fatalf("places = %d, want 1 (cached within epoch)", places)
 	}
 	c.ReportFailure(1) // trips (TripAfter 1): epoch bump
-	c.SurvivorIndex("t", "0000", 0, build)
-	if builds != 2 {
-		t.Fatalf("builds after epoch change = %d, want 2", builds)
+	c.Placement("0000", build)
+	if places != 2 {
+		t.Fatalf("places after epoch change = %d, want 2", places)
 	}
 	if err := errors.New("boom"); func() error {
 		_, e := c.Placement("x", func() ([]int, error) { return nil, err })

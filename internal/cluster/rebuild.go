@@ -1,30 +1,25 @@
 package cluster
 
-import (
-	"pref/internal/table"
-	"pref/internal/value"
-)
+import "pref/internal/table"
 
 // Background partition rebuild.
 //
-// Query-time recovery (internal/engine/recovery.go) reconstructs a lost
-// partition's scan output from surviving PREF duplicates while a query
-// is running — every degraded query re-pays that reconstruction. The
-// rebuild worker generalizes it to ahead-of-time: when a down node
-// passes its half-open probe, the worker re-materializes the node's
-// partitions from the same redundancy once, in the background, and only
-// then flips the node back to healthy. Queries admitted while the
-// rebuild runs still route around the node (state recovering, not
-// serving); queries admitted after it completes use the node normally,
-// with no recovery work at all.
+// Query-time recovery (internal/engine/recovery.go) serves a lost
+// partition from surviving PREF duplicates and replicas while a query is
+// running — every degraded query re-pays the shipment. The rebuild worker
+// does it ahead of time: when a down node passes its half-open probe, the
+// worker re-materializes the node's partitions from the same redundancy
+// once, in the background, and only then flips the node back to healthy.
+// Queries admitted while the rebuild runs still route around the node
+// (state recovering, not serving); queries admitted after it completes
+// use the node normally, with no recovery work at all.
 //
-// Simulation boundary: as in recoverScan, the lost partitions' manifests
-// are read from the in-memory partitions (standing in for the off-node
-// recovery catalog), and "re-materializing" means verifying that every
-// stored tuple copy has an identical copy on a surviving serving node
-// and metering the copy-back volume. A row with no surviving copy makes
-// the node unrecoverable: it stays down, marked lost, and is never
-// probed again.
+// Simulation boundary: "re-materializing" means asking the placement
+// whether every stored tuple copy has an identical copy on a serving node
+// — the same predicate query-time recovery uses,
+// table.Version.Unrecoverable — and metering the copy-back volume. A row
+// with no surviving copy makes the node unrecoverable: it stays down,
+// marked lost, and is never probed again.
 
 // RebuildSource is what the rebuild worker re-materializes partitions
 // from: the cluster's partitioned database.
@@ -98,48 +93,27 @@ func (c *Cluster) rebuildWorker() {
 // here, so re-materialization always works from crash-consistent state.
 func (c *Cluster) rebuild(job rebuildJob) (ok bool, rows, bytes int64) {
 	c.mu.Lock()
-	serving := make([]bool, len(c.nodes))
+	down := make([]bool, len(c.nodes))
 	for i := range c.nodes {
 		s := c.nodes[i].state
-		serving[i] = (s == Healthy || s == Suspect) && i != job.node
+		down[i] = (s != Healthy && s != Suspect) || i == job.node
 	}
 	c.mu.Unlock()
 
 	snap := job.src.Snapshot()
-	for name, pt := range job.src.Tables {
+	for name, v := range snap.Tables {
 		if c.ctx.Err() != nil {
 			return false, 0, 0
 		}
-		parts := snap.Parts(name)
-		if job.node >= len(parts) {
+		if job.node >= len(v.Parts) {
 			continue
 		}
-		part := parts[job.node]
-		if part.Len() == 0 {
-			continue
+		if v.Unrecoverable(job.node, down) > 0 {
+			return false, 0, 0
 		}
-		allCols := make([]int, pt.Meta.NumCols())
-		for i := range allCols {
-			allCols[i] = i
-		}
-		// Index the full-row contents held by serving survivors, then
-		// check the lost partition's manifest against it — the
-		// ahead-of-time analogue of recoverScan's survivor sweep.
-		idx := make(map[value.Key]bool)
-		for q, p := range parts {
-			if q < len(serving) && serving[q] {
-				for _, r := range p.Rows {
-					idx[value.MakeKey(r, allCols)] = true
-				}
-			}
-		}
-		for _, r := range part.Rows {
-			if !idx[value.MakeKey(r, allCols)] {
-				return false, 0, 0
-			}
-		}
-		rows += int64(part.Len())
-		bytes += int64(part.Len()) * int64(pt.Meta.NumCols()) * 8
+		n := int64(v.Parts[job.node].Len())
+		rows += n
+		bytes += n * int64(job.src.Tables[name].Meta.NumCols()) * 8
 	}
 	return true, rows, bytes
 }

@@ -190,25 +190,25 @@ type executor struct {
 	// enabling tracing must not perturb injected fault schedules.
 	tb      *trace.Builder
 	stats   Stats
-	nodeRow []int64                       // per-node processed rows
-	survIdx map[string]map[value.Key]bool // surviving-copy index per table (recovery)
+	nodeRow []int64 // per-node processed rows
 	mu      sync.Mutex
 }
 
-// partsOf resolves the partitions a scan of tbl must read: the pinned
-// snapshot's published partitions when the query has one (the normal
-// path — admission pins a snapshot), else the live head (executors
-// driven without BeginQuery, e.g. direct unit-test construction).
+// versionOf resolves the table version a scan of tbl must read: the
+// pinned snapshot's published version when the query has one (the normal
+// path — admission pins a snapshot), else the live head wrapped as an
+// unpublished version (executors driven without BeginQuery, e.g. direct
+// unit-test construction).
 //
 // lint:snapshot-boundary the one sanctioned pin point: every scan resolves
 // partitions here, so the snapshot-or-head decision lives in one place.
-func (ex *executor) partsOf(pt *table.Partitioned, tbl string) []*table.Partition {
+func (ex *executor) versionOf(pt *table.Partitioned, tbl string) *table.Version {
 	if ex.snap != nil {
-		if ps := ex.snap.Parts(tbl); ps != nil {
-			return ps
+		if v, ok := ex.snap.Tables[tbl]; ok {
+			return v
 		}
 	}
-	return pt.Parts
+	return &table.Version{Parts: pt.Parts, Replicated: pt.Replicated}
 }
 
 // epoch returns the query's pinned data epoch (0 without a snapshot).
@@ -295,7 +295,7 @@ func executeCtx(ctx context.Context, rw *plan.Rewritten, pdb *table.PartitionedD
 	// per-epoch cache instead of once per scan.
 	view, snap, probes := cl.BeginQuery(pdb, inj.NodeDown, inj.ProbeOK)
 	down := effectiveDown(pdb.N, inj, view)
-	execDst, err := cl.Placement(downKey(down), func() ([]int, error) {
+	execDst, err := cl.Placement(table.DownKey(down), func() ([]int, error) {
 		return buddyMap(pdb.N, down)
 	})
 	if err != nil {
@@ -392,20 +392,6 @@ func effectiveDown(n int, inj *fault.Injector, view cluster.View) []bool {
 		down[p] = (inj.NodeDown(p) && !healed) || tripped
 	}
 	return down
-}
-
-// downKey renders a down set as the cache key of the per-epoch placement
-// and survivor-index caches.
-func downKey(down []bool) string {
-	b := make([]byte, len(down))
-	for i, d := range down {
-		if d {
-			b[i] = '1'
-		} else {
-			b[i] = '0'
-		}
-	}
-	return string(b)
 }
 
 // ErrAllNodesDown reports a query with no surviving node to run on:
@@ -638,7 +624,7 @@ func (ex *executor) evalScan(n *plan.ScanNode) ([][]value.Tuple, error) {
 		return nil, fmt.Errorf("engine: table %s not in partitioned database", n.Table)
 	}
 	sch := ex.rw.Schemas[n]
-	parts := ex.partsOf(pt, n.Table)
+	ver := ex.versionOf(pt, n.Table)
 	withIndexes := len(sch) == pt.Meta.NumCols()+2
 	var keep map[int]bool
 	if n.Prune != nil {
@@ -654,15 +640,12 @@ func (ex *executor) evalScan(n *plan.ScanNode) ([][]value.Tuple, error) {
 		if ex.down[p] {
 			// The node holding this base partition is unavailable —
 			// permanently failed, or routed around by an open circuit
-			// breaker: reconstruct its scan output from surviving
-			// duplicate copies.
-			rows, err := ex.recoverScan(top, pt, parts, p, withIndexes, len(sch))
-			if err != nil {
+			// breaker: serve it from surviving duplicate copies.
+			if err := ex.recoverScan(top, ver, n.Table, p, len(sch)); err != nil {
 				return nil, 0, err
 			}
-			return rows, len(rows), nil
 		}
-		rows := scanRows(parts[p], withIndexes)
+		rows := scanRows(ver.Parts[p], withIndexes)
 		return rows, len(rows), nil
 	})
 }

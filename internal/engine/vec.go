@@ -159,7 +159,7 @@ func (ex *executor) evalVec(n plan.Node) (vparts, error) {
 }
 
 // evalScanVec hands out chunked zero-copy views over the partition's cached
-// columnar projection (or lifts recovered rows into fresh batches).
+// columnar projection; a recovered partition's views are the same.
 //
 // lint:batch-owner the returned batch lists transfer to the caller
 func (ex *executor) evalScanVec(n *plan.ScanNode) (vparts, error) {
@@ -169,7 +169,7 @@ func (ex *executor) evalScanVec(n *plan.ScanNode) (vparts, error) {
 		return nil, fmt.Errorf("engine: table %s not in partitioned database", n.Table)
 	}
 	sch := ex.rw.Schemas[n]
-	parts := ex.partsOf(pt, n.Table)
+	ver := ex.versionOf(pt, n.Table)
 	width := pt.Meta.NumCols()
 	withIndexes := len(sch) == width+2
 	var keep map[int]bool
@@ -184,18 +184,15 @@ func (ex *executor) evalScanVec(n *plan.ScanNode) (vparts, error) {
 			return nil, 0, nil // pruned: the partition cannot contain matches
 		}
 		if ex.down[p] {
-			// Rare path: reconstruct the lost partition's scan output via
-			// the row-based recovery machinery (identical metering), then
-			// lift the rows into batches.
-			rows, err := ex.recoverScan(top, pt, parts, p, withIndexes, len(sch))
-			if err != nil {
+			// Lost partition: check and meter its recovery from surviving
+			// copies, then scan it like any other.
+			if err := ex.recoverScan(top, ver, n.Table, p, len(sch)); err != nil {
 				return nil, 0, err
 			}
-			return batch.FromRows(rows, len(sch)), len(rows), nil
 		}
 		// Zero-copy: chunked views over the partition's cached columnar
 		// projection (built once per published epoch, shared by queries).
-		proj := parts[p].Columns(width)
+		proj := ver.Parts[p].Columns(width)
 		cols := proj.Cols
 		if !withIndexes {
 			cols = cols[:width]

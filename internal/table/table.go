@@ -61,6 +61,13 @@ type Partition struct {
 	// cols caches the columnar projection (see Columns). A Clone starts
 	// with an empty cache, and Append invalidates by length mismatch.
 	cols atomic.Pointer[Columnar]
+	// anc is the newest ancestor projection inherited through Clone, and
+	// ancPrefix the length of the row prefix still identical to the rows
+	// it was built from. Columns extends anc by the rows past its end
+	// instead of transposing the whole partition again. Written only by
+	// the single writer before publication.
+	anc       *Columnar
+	ancPrefix int
 }
 
 // NewPartition returns an empty partition with empty bitmap indexes.
@@ -78,12 +85,31 @@ func (p *Partition) Append(t value.Tuple, dup, hasRef bool) {
 // Len reports the number of stored tuple copies.
 func (p *Partition) Len() int { return len(p.Rows) }
 
+// SetRow replaces stored row i in place, the write path's update. It
+// drops the partition's own projection and shortens the prefix an
+// inherited one may be extended over.
+func (p *Partition) SetRow(i int, t value.Tuple) {
+	p.Rows[i] = t
+	p.ancPrefix = min(p.ancPrefix, i)
+	p.cols.Store(nil)
+}
+
 // Clone returns a copy-on-write clone: the row slice and bitmaps are
 // copied, the tuples themselves (immutable by convention) are shared.
+// The row slice gets a little append headroom, since the writer clones a
+// partition in order to append to it. The clone inherits p's projection,
+// or p's own inherited one when p has none, for Columns to extend.
 func (p *Partition) Clone() *Partition {
-	rows := make([]value.Tuple, len(p.Rows))
+	n := len(p.Rows)
+	rows := make([]value.Tuple, n, n+n/64+64)
 	copy(rows, p.Rows)
-	return &Partition{Rows: rows, Dup: p.Dup.Clone(), HasRef: p.HasRef.Clone()}
+	c := &Partition{Rows: rows, Dup: p.Dup.Clone(), HasRef: p.HasRef.Clone()}
+	if own := p.cols.Load(); own != nil && own.NRows == n {
+		c.anc, c.ancPrefix = own, n
+	} else {
+		c.anc, c.ancPrefix = p.anc, p.ancPrefix
+	}
+	return c
 }
 
 // CheckInvariants is the cheap corruption guard of the write path: every
@@ -111,6 +137,13 @@ type Version struct {
 	Parts []*Partition
 	// Rows is OriginalRows at publication time.
 	Rows int
+	// Replicated is the table's placement: every partition holds every
+	// row (see Unrecoverable).
+	Replicated bool
+
+	// recov caches survivor content checks per down set (see survivors).
+	recovMu sync.Mutex
+	recov   map[string]*survivorCheck
 }
 
 // Partitioned is a horizontally partitioned table.
@@ -227,7 +260,7 @@ func (pt *Partitioned) publishLocked(epoch int64) int64 {
 	for i := range pt.shared {
 		pt.shared[i] = true
 	}
-	pt.pub.Store(&Version{Epoch: epoch, Parts: parts, Rows: pt.OriginalRows})
+	pt.pub.Store(&Version{Epoch: epoch, Parts: parts, Rows: pt.OriginalRows, Replicated: pt.Replicated})
 	return epoch
 }
 

@@ -19,8 +19,8 @@
 //     and models cluster runtime;
 //   - Tuple-at-a-time bulk loading with partition indexes (Section 2.3);
 //   - A multi-tenant serving layer: per-tenant quotas, weighted-fair
-//     admission, cost-priced load shedding, deadline propagation, an
-//     epoch-keyed plan cache, and graceful drain;
+//     admission, cost-priced load shedding, deadline propagation, a
+//     query-keyed plan cache, and graceful drain;
 //   - TPC-H and TPC-DS substrates (generators, queries, workloads).
 //
 // # Quick start
@@ -357,7 +357,7 @@ func NewCluster(opt ClusterOptions) *Cluster { return cluster.New(opt) }
 // Serving-layer types. A Server is a long-lived multi-tenant query server
 // over one partitioned database: per-tenant token-bucket quotas and
 // weighted-fair admission, cost-priced load shedding, bounded retry
-// budgets, an epoch-keyed plan cache, streaming delivery with
+// budgets, a query-keyed plan cache, streaming delivery with
 // backpressure, end-to-end deadline propagation, and graceful drain.
 type (
 	// Server is the multi-tenant query server (serve.Server).
