@@ -132,7 +132,6 @@ func typedSoakFailure(err error) bool {
 		errors.Is(err, fault.ErrPartitionLost) ||
 		errors.As(err, &ple) ||
 		errors.Is(err, cluster.ErrNodeTripped) ||
-		errors.Is(err, cluster.ErrAdmissionTimeout) ||
 		errors.Is(err, context.DeadlineExceeded) ||
 		errors.Is(err, engine.ErrAllNodesDown)
 }

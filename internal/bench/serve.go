@@ -81,8 +81,8 @@ func newServeServer(p Params, t *tpch.TPCH, m *Materialized, v *Variant, regime 
 		queries[q] = func() plan.Node { return t.Query(q) }
 	}
 	opt := serve.Options{
-		PDB:    m.PDBs[0],
-		Config: v.Groups[0].Config,
+		PDB:     m.PDBs[0],
+		Config:  v.Groups[0].Config,
 		Queries: queries,
 		Tenants: []serve.TenantConfig{
 			{Name: "gold", Weight: 4},
@@ -115,7 +115,7 @@ func typedServeFailure(err error) bool {
 		errors.Is(err, engine.ErrDeadlineExceeded) ||
 		errors.Is(err, engine.ErrAllNodesDown) ||
 		errors.Is(err, serve.ErrServerClosed) ||
-		errors.Is(err, cluster.ErrAdmissionTimeout) ||
+		errors.Is(err, serve.ErrAdmissionTimeout) ||
 		errors.Is(err, cluster.ErrNodeTripped) ||
 		errors.Is(err, fault.ErrNodeFailed) ||
 		errors.Is(err, fault.ErrShipmentFailed) ||

@@ -11,13 +11,13 @@
 // re-materializes its partitions from PREF/replication redundancy before
 // flipping it back to healthy.
 //
-// The package also owns the cross-query resources the engine borrows per
-// execution: an admission gate (bounded concurrent queries with a queue
-// timeout, so fault storms shed load instead of amplifying), a latency
-// sampler that prices the hedging delay for straggler duplicates, and a
-// per-health-epoch cache of placements, so degraded queries resolve
-// "which surviving node executes p" once per epoch instead of once per
-// query. Whether p's data survives is a property of the table version
+// The engine makes one call per query, BeginQuery, which snapshots node
+// health and returns the query's end hook; ending a query ticks the
+// breaker cool-downs. The package also owns a latency sampler that prices
+// the hedging delay for straggler duplicates. It bounds no concurrency:
+// that is the serving layer's job (internal/serve). Which node executes a
+// down node's partitions is the engine's buddy map, and whether their
+// data survives is a property of the table version
 // (table.Version.Unrecoverable), not of the cluster.
 //
 // A nil *Cluster is valid everywhere and disables the layer, mirroring
@@ -30,16 +30,11 @@ import (
 	"fmt"
 	"sync"
 
-	"time"
-
 	"pref/internal/table"
 )
 
 // Typed errors surfaced to query callers.
 var (
-	// ErrAdmissionTimeout reports a query that waited longer than the
-	// admission queue timeout for an execution slot.
-	ErrAdmissionTimeout = errors.New("cluster: admission queue timeout")
 	// ErrNodeTripped reports a work unit aborted because its node's
 	// circuit breaker tripped mid-query: further retries against the node
 	// would be burned, so the unit fails fast and the next query routes
@@ -47,6 +42,10 @@ var (
 	ErrNodeTripped = errors.New("cluster: node circuit breaker tripped")
 	// ErrClosed reports an operation against a closed cluster.
 	ErrClosed = errors.New("cluster: closed")
+	// ErrNodeCount reports a query against a database whose partition
+	// count differs from the cluster's node count: node health is indexed
+	// by partition, so the query is refused before any work runs.
+	ErrNodeCount = errors.New("cluster: node count does not match the database")
 )
 
 // State is one node's position in the health state machine.
@@ -84,12 +83,10 @@ func (s State) String() string {
 // Options configures a cluster health layer. The zero value of every
 // field gets a sensible default from New.
 type Options struct {
-	// Nodes is the logical node count (required, must match the
-	// partitioned databases executed against the cluster).
+	// Nodes is the logical node count (required). It must match the
+	// partition count of every database executed against the cluster;
+	// BeginQuery refuses others with ErrNodeCount.
 	Nodes int
-	// SuspectAfter is the consecutive-failure count that moves a healthy
-	// node to suspect (default 1).
-	SuspectAfter int
 	// TripAfter is the consecutive-failure count that trips the breaker,
 	// moving the node to down (default 3).
 	TripAfter int
@@ -98,20 +95,12 @@ type Options struct {
 	// next query probes the node (default 2). Counting in queries rather
 	// than wall time keeps tests deterministic.
 	CoolDownQueries int
-	// MaxConcurrent bounds concurrently admitted queries (0 = unbounded).
-	MaxConcurrent int
-	// QueueTimeout is how long Admit waits for a slot before failing with
-	// ErrAdmissionTimeout (0 = wait as long as the caller's context).
-	QueueTimeout time.Duration
 	// Hedge configures speculative duplicates for straggling units.
 	Hedge HedgePolicy
 }
 
 // withDefaults fills unset options.
 func (o Options) withDefaults() Options {
-	if o.SuspectAfter <= 0 {
-		o.SuspectAfter = 1
-	}
 	if o.TripAfter <= 0 {
 		o.TripAfter = 3
 	}
@@ -134,12 +123,8 @@ type node struct {
 
 // Stats is a snapshot of the cluster's cross-query counters.
 type Stats struct {
-	// Epoch counts health-state transitions; the placement cache is keyed
-	// by it.
+	// Epoch counts health-state transitions.
 	Epoch int
-	// Admitted and Rejected count queries through the admission gate.
-	Admitted int64
-	Rejected int64
 	// Trips counts breaker openings; Probes and ProbeSuccesses count
 	// half-open probes and the ones that passed.
 	Trips          int64
@@ -156,15 +141,14 @@ type Stats struct {
 }
 
 // View is an immutable snapshot of cluster health, taken once per query
-// at admission. Serving[n] is false for down and recovering nodes (the
+// by BeginQuery. Serving[n] is false for down and recovering nodes (the
 // placement must route around them); Recovered[n] marks nodes that healed
-// and were rebuilt (the engine clears their injected faults); Probes[n]
-// is the failed-probe count the epoch-aware fault hooks consume.
+// and were rebuilt (the engine clears their injected faults); Probed is
+// the number of half-open probes the query performed.
 type View struct {
-	Epoch     int
 	Serving   []bool
 	Recovered []bool
-	Probes    []int
+	Probed    int
 }
 
 // Cluster is the long-lived health layer. All methods are safe for
@@ -174,16 +158,8 @@ type Cluster struct {
 
 	mu     sync.Mutex
 	nodes  []node
-	epoch  int
 	stats  Stats
 	closed bool
-
-	// place caches buddy maps per effective-down key; it resets on
-	// health-epoch change.
-	place map[string][]int
-
-	// sem is the admission semaphore (nil = unbounded).
-	sem chan struct{}
 
 	// lat prices the hedging delay from recent unit latencies.
 	lat sampler
@@ -210,14 +186,10 @@ func New(opt Options) *Cluster {
 	c := &Cluster{
 		opt:   opt,
 		nodes: make([]node, opt.Nodes),
-		place: make(map[string][]int),
 		jobs:  make(chan rebuildJob, opt.Nodes),
 	}
 	c.idle = sync.NewCond(&c.mu)
 	c.lat.init(latencyWindow)
-	if opt.MaxConcurrent > 0 {
-		c.sem = make(chan struct{}, opt.MaxConcurrent)
-	}
 	c.ctx, c.cancel = context.WithCancel(context.Background())
 	c.wg.Add(1)
 	// The rebuild worker is the cluster's one deliberately long-lived
@@ -251,71 +223,8 @@ func (c *Cluster) Close() {
 	c.mu.Unlock()
 }
 
-// Admit acquires a query execution slot, waiting up to the queue timeout
-// (and the caller's context). The returned release function must be
-// called exactly once when the query completes; releasing also advances
-// the breaker cool-downs, which are counted in completed queries.
-func (c *Cluster) Admit(ctx context.Context) (func(), error) {
-	if c == nil {
-		return func() {}, nil
-	}
-	if c.sem != nil {
-		var timeout <-chan time.Time
-		if c.opt.QueueTimeout > 0 {
-			t := time.NewTimer(c.opt.QueueTimeout)
-			defer t.Stop()
-			timeout = t.C
-		}
-		select {
-		case c.sem <- struct{}{}:
-		case <-ctx.Done():
-			c.reject()
-			return nil, ctx.Err()
-		case <-timeout:
-			c.reject()
-			return nil, fmt.Errorf("cluster: no execution slot within %v: %w",
-				c.opt.QueueTimeout, ErrAdmissionTimeout)
-		}
-	}
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		if c.sem != nil {
-			<-c.sem
-		}
-		return nil, ErrClosed
-	}
-	c.stats.Admitted++
-	c.mu.Unlock()
-	var once sync.Once
-	return func() { once.Do(c.endQuery) }, nil
-}
-
-func (c *Cluster) reject() {
-	c.mu.Lock()
-	c.stats.Rejected++
-	c.mu.Unlock()
-}
-
-// endQuery releases the admission slot and ticks breaker cool-downs: each
-// completed query brings every down node one step closer to a half-open
-// probe.
-func (c *Cluster) endQuery() {
-	c.mu.Lock()
-	for i := range c.nodes {
-		n := &c.nodes[i]
-		if n.state == Down && !n.lost && n.coolDown > 0 {
-			n.coolDown--
-		}
-	}
-	c.mu.Unlock()
-	if c.sem != nil {
-		<-c.sem
-	}
-}
-
-// BeginQuery snapshots cluster health for one query and performs the
-// health work that anchors to query admission:
+// BeginQuery admits one query: it snapshots cluster health and performs
+// the health work that anchors to the query's start:
 //
 //   - nodes the fault layer reports as down right now (downNow) are
 //     tripped immediately — the simulation analogue of a refused
@@ -326,21 +235,32 @@ func (c *Cluster) endQuery() {
 //
 // It returns the post-probe view, the query's pinned data snapshot (the
 // last epoch the write path published, nil when src is nil), and the
-// number of probes performed. Pinning at admission is what isolates the
-// query from concurrent write batches: everything it scans comes from
-// the snapshot, never the loader's write head. Either hook may be nil.
-// src may be nil when no rebuild source is available (probed nodes then
-// recover without a rebuild).
-func (c *Cluster) BeginQuery(src RebuildSource, downNow func(node int) bool, probeOK func(node, probes int) bool) (View, *table.DBSnapshot, int) {
-	var snap *table.DBSnapshot
+// query's end hook. The caller must call end exactly once when the query
+// completes, failed or not: each completed query brings every down node
+// one step closer to a half-open probe. Pinning at admission is what
+// isolates the query from concurrent write batches: everything it scans
+// comes from the snapshot, never the loader's write head. Either hook may
+// be nil. src may be nil when no rebuild source is available (probed
+// nodes then recover without a rebuild).
+//
+// A closed cluster fails with ErrClosed, and a src whose partition count
+// differs from the node count fails with ErrNodeCount; neither counts as
+// an admitted query.
+func (c *Cluster) BeginQuery(src *table.PartitionedDatabase, downNow func(node int) bool, probeOK func(node, probes int) bool) (v View, snap *table.DBSnapshot, end func(), err error) {
 	if src != nil {
 		snap = src.Snapshot()
 	}
 	if c == nil {
-		return View{}, snap, 0
+		return View{}, snap, func() {}, nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.closed {
+		return View{}, nil, nil, ErrClosed
+	}
+	if src != nil && src.N != len(c.nodes) {
+		return View{}, nil, nil, fmt.Errorf("%w: %d nodes, %d partitions", ErrNodeCount, len(c.nodes), src.N)
+	}
 	probed := 0
 	for i := range c.nodes {
 		n := &c.nodes[i]
@@ -366,7 +286,22 @@ func (c *Cluster) BeginQuery(src RebuildSource, downNow func(node int) bool, pro
 			}
 		}
 	}
-	return c.viewLocked(), snap, probed
+	v = c.viewLocked()
+	v.Probed = probed
+	return v, snap, c.endQuery, nil
+}
+
+// endQuery ticks breaker cool-downs: each completed query brings every
+// down node one step closer to a half-open probe.
+func (c *Cluster) endQuery() {
+	c.mu.Lock()
+	for i := range c.nodes {
+		n := &c.nodes[i]
+		if n.state == Down && !n.lost && n.coolDown > 0 {
+			n.coolDown--
+		}
+	}
+	c.mu.Unlock()
 }
 
 // ReportSuccess records a completed work unit on a node: consecutive
@@ -385,8 +320,9 @@ func (c *Cluster) ReportSuccess(nodeID int) {
 }
 
 // ReportFailure records a failed work-unit attempt on a node, driving the
-// healthy → suspect → down legs of the state machine. Reaching the trip
-// threshold opens the breaker.
+// healthy → suspect → down legs of the state machine: the first failure
+// makes a healthy node suspect, and reaching the trip threshold opens the
+// breaker.
 func (c *Cluster) ReportFailure(nodeID int) {
 	if c == nil {
 		return
@@ -402,7 +338,7 @@ func (c *Cluster) ReportFailure(nodeID int) {
 		c.trip(nodeID)
 		return
 	}
-	if n.state == Healthy && n.consecFails >= c.opt.SuspectAfter {
+	if n.state == Healthy {
 		c.setState(nodeID, Suspect)
 	}
 }
@@ -435,8 +371,8 @@ func (c *Cluster) trip(nodeID int) {
 	c.setState(nodeID, Down)
 }
 
-// setState transitions a node and bumps the health epoch, invalidating
-// the per-epoch caches. Callers hold c.mu.
+// setState transitions a node and bumps the health epoch. Callers hold
+// c.mu.
 func (c *Cluster) setState(nodeID int, s State) {
 	n := &c.nodes[nodeID]
 	if n.state == s {
@@ -446,11 +382,7 @@ func (c *Cluster) setState(nodeID int, s State) {
 	if s == Healthy {
 		n.consecFails = 0
 	}
-	c.epoch++
-	c.stats.Epoch = c.epoch
-	if len(c.place) > 0 {
-		c.place = make(map[string][]int)
-	}
+	c.stats.Epoch++
 }
 
 // NodeState returns one node's current health state.
@@ -475,16 +407,13 @@ func (c *Cluster) View() View {
 
 func (c *Cluster) viewLocked() View {
 	v := View{
-		Epoch:     c.epoch,
 		Serving:   make([]bool, len(c.nodes)),
 		Recovered: make([]bool, len(c.nodes)),
-		Probes:    make([]int, len(c.nodes)),
 	}
 	for i := range c.nodes {
 		s := c.nodes[i].state
 		v.Serving[i] = s == Healthy || s == Suspect
 		v.Recovered[i] = c.nodes[i].recovered
-		v.Probes[i] = c.nodes[i].probes
 	}
 	return v
 }
@@ -497,27 +426,4 @@ func (c *Cluster) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.stats
-}
-
-// Placement returns the cached executing-node map for the given
-// effective-down key, building it with build on a miss. The cache is
-// dropped on every health-state transition.
-func (c *Cluster) Placement(downKey string, build func() ([]int, error)) ([]int, error) {
-	if c == nil {
-		return build()
-	}
-	c.mu.Lock()
-	if dst, ok := c.place[downKey]; ok {
-		c.mu.Unlock()
-		return dst, nil
-	}
-	c.mu.Unlock()
-	dst, err := build()
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	c.place[downKey] = dst
-	c.mu.Unlock()
-	return dst, nil
 }

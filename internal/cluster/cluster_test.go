@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"context"
 	"errors"
 	"testing"
 	"time"
@@ -58,14 +57,26 @@ func uncoveredPDB(t *testing.T) *table.PartitionedDatabase {
 	return &table.PartitionedDatabase{Tables: map[string]*table.Partitioned{"t": pt}, N: 4}
 }
 
-func TestNilClusterIsDisabled(t *testing.T) {
-	var c *Cluster
-	release, err := c.Admit(context.Background())
+// runQuery runs one admitted query through BeginQuery and ends it, which
+// ticks the breaker cool-downs.
+func runQuery(t *testing.T, c *Cluster, src *table.PartitionedDatabase, downNow func(int) bool, probeOK func(int, int) bool) View {
+	t.Helper()
+	v, _, end, err := c.BeginQuery(src, downNow, probeOK)
 	if err != nil {
 		t.Fatal(err)
 	}
-	release()
-	if v, snap, n := c.BeginQuery(nil, nil, nil); len(v.Serving) != 0 || snap != nil || n != 0 {
+	end()
+	return v
+}
+
+func TestNilClusterIsDisabled(t *testing.T) {
+	var c *Cluster
+	v, snap, end, err := c.BeginQuery(nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	end()
+	if len(v.Serving) != 0 || snap != nil || v.Probed != 0 {
 		t.Fatal("nil cluster must return an empty view")
 	}
 	c.ReportSuccess(0)
@@ -82,17 +93,12 @@ func TestNilClusterIsDisabled(t *testing.T) {
 	c.ObserveUnit(time.Millisecond)
 	c.WaitRebuilds()
 	c.Close()
-	built := 0
-	dst, err := c.Placement("0000", func() ([]int, error) { built++; return []int{0}, nil })
-	if built != 1 || err != nil || len(dst) != 1 {
-		t.Fatal("nil cluster Placement must pass through to build")
-	}
 }
 
 // TestBreakerTripAndFSM walks healthy → suspect → down on consecutive
 // failures and back to healthy on success before the trip.
 func TestBreakerTripAndFSM(t *testing.T) {
-	c := newTestCluster(t, Options{SuspectAfter: 1, TripAfter: 3})
+	c := newTestCluster(t, Options{TripAfter: 3})
 	if c.NodeState(2) != Healthy {
 		t.Fatal("fresh node must be healthy")
 	}
@@ -132,27 +138,39 @@ func TestBreakerTripAndFSM(t *testing.T) {
 	}
 }
 
-// TestEpochInvalidatesCaches: the placement cache is reused within an
-// epoch and dropped on a health transition.
-func TestEpochInvalidatesCaches(t *testing.T) {
+// TestEpochCountsTransitions: the health epoch moves on every state
+// transition and on nothing else.
+func TestEpochCountsTransitions(t *testing.T) {
 	c := newTestCluster(t, Options{TripAfter: 1})
-	places := 0
-	build := func() ([]int, error) { places++; return []int{0, 1, 2, 3}, nil }
-	c.Placement("0000", build)
-	c.Placement("0000", build)
-	if places != 1 {
-		t.Fatalf("places = %d, want 1 (cached within epoch)", places)
+	runQuery(t, c, nil, nil, nil)
+	if e := c.Stats().Epoch; e != 0 {
+		t.Fatalf("epoch after a clean query = %d, want 0", e)
 	}
 	c.ReportFailure(1) // trips (TripAfter 1): epoch bump
-	c.Placement("0000", build)
-	if places != 2 {
-		t.Fatalf("places after epoch change = %d, want 2", places)
+	if e := c.Stats().Epoch; e != 1 {
+		t.Fatalf("epoch after trip = %d, want 1", e)
 	}
-	if err := errors.New("boom"); func() error {
-		_, e := c.Placement("x", func() ([]int, error) { return nil, err })
-		return e
-	}() != err {
-		t.Fatal("Placement must propagate build errors uncached")
+	c.ReportFailure(1) // already down: no transition
+	if e := c.Stats().Epoch; e != 1 {
+		t.Fatalf("epoch after redundant failure = %d, want 1", e)
+	}
+}
+
+// TestBeginQueryRejectsNodeCountMismatch: a database whose partition
+// count differs from the node count is refused with ErrNodeCount, and the
+// refused query does not tick cool-downs.
+func TestBeginQueryRejectsNodeCountMismatch(t *testing.T) {
+	c := newTestCluster(t, Options{Nodes: 2, TripAfter: 1, CoolDownQueries: 1})
+	c.ReportFailure(1) // trips node 1; cool-down 1
+	if _, _, _, err := c.BeginQuery(testPDB(t), nil, nil); !errors.Is(err, ErrNodeCount) {
+		t.Fatalf("BeginQuery(4 partitions) on 2 nodes = %v, want ErrNodeCount", err)
+	}
+	probeOK := func(int, int) bool { return false }
+	if v := runQuery(t, c, nil, nil, probeOK); v.Probed != 0 {
+		t.Fatal("refused query ticked the cool-down")
+	}
+	if v := runQuery(t, c, nil, nil, probeOK); v.Probed != 1 {
+		t.Fatalf("probes after one completed query = %d, want 1", v.Probed)
 	}
 }
 
@@ -166,31 +184,25 @@ func TestProbeLifecycleAndRebuild(t *testing.T) {
 	probeOK := func(n, probes int) bool { return probes >= 1 } // second probe passes
 
 	// Query 1: node 1 reported down now → tripped without burning retries.
-	v, _, probes := c.BeginQuery(pdb, downNow, probeOK)
-	if probes != 0 || v.Serving[1] || c.NodeState(1) != Down {
-		t.Fatalf("query 1: probes=%d serving=%v state=%v", probes, v.Serving[1], c.NodeState(1))
+	// Ending it completes query 1: cool-down 1 → 0.
+	v := runQuery(t, c, pdb, downNow, probeOK)
+	if v.Probed != 0 || v.Serving[1] || c.NodeState(1) != Down {
+		t.Fatalf("query 1: probes=%d serving=%v state=%v", v.Probed, v.Serving[1], c.NodeState(1))
 	}
-	rel, err := c.Admit(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rel() // completes query 1: cool-down 1 → 0
 
 	// Query 2: cool-down expired → half-open probe, which fails.
-	v, _, probes = c.BeginQuery(pdb, downNow, probeOK)
-	if probes != 1 || v.Serving[1] {
-		t.Fatalf("query 2: probes=%d serving=%v, want a failed probe", probes, v.Serving[1])
+	v = runQuery(t, c, pdb, downNow, probeOK)
+	if v.Probed != 1 || v.Serving[1] {
+		t.Fatalf("query 2: probes=%d serving=%v, want a failed probe", v.Probed, v.Serving[1])
 	}
-	if v.Probes[1] != 1 {
-		t.Fatalf("query 2: view probe count = %d, want 1", v.Probes[1])
+	if st := c.Stats(); st.Probes != 1 || st.ProbeSuccesses != 0 {
+		t.Fatalf("query 2: stats = %+v, want 1 failed probe", st)
 	}
-	rel, _ = c.Admit(context.Background())
-	rel()
 
 	// Query 3: second probe passes → recovering, rebuild enqueued.
-	_, _, probes = c.BeginQuery(pdb, downNow, probeOK)
-	if probes != 1 {
-		t.Fatalf("query 3: probes=%d, want 1", probes)
+	v, _, _, err := c.BeginQuery(pdb, downNow, probeOK)
+	if err != nil || v.Probed != 1 {
+		t.Fatalf("query 3: probes=%d err=%v, want 1", v.Probed, err)
 	}
 	c.WaitRebuilds()
 	if c.NodeState(1) != Healthy {
@@ -208,7 +220,7 @@ func TestProbeLifecycleAndRebuild(t *testing.T) {
 	}
 	// Query 4: the recovered node serves again and downNow is ignored
 	// (the view reports it healed so the engine clears injected faults).
-	v, _, _ = c.BeginQuery(pdb, downNow, probeOK)
+	v, _, _, _ = c.BeginQuery(pdb, downNow, probeOK)
 	if !v.Serving[1] || !v.Recovered[1] {
 		t.Fatalf("query 4: serving=%v recovered=%v, want both", v.Serving[1], v.Recovered[1])
 	}
@@ -222,10 +234,8 @@ func TestRebuildUnrecoverable(t *testing.T) {
 	downNow := func(n int) bool { return n == 2 }
 	probeOK := func(int, int) bool { return true }
 
-	c.BeginQuery(pdb, downNow, probeOK) // trip
-	rel, _ := c.Admit(context.Background())
-	rel()
-	c.BeginQuery(pdb, downNow, probeOK) // probe passes → rebuild attempt
+	runQuery(t, c, pdb, downNow, probeOK) // trip
+	runQuery(t, c, pdb, downNow, probeOK) // probe passes → rebuild attempt
 	c.WaitRebuilds()
 	if c.NodeState(2) != Down {
 		t.Fatalf("unrecoverable node state = %v, want down", c.NodeState(2))
@@ -235,59 +245,21 @@ func TestRebuildUnrecoverable(t *testing.T) {
 		t.Fatalf("stats = %+v, want exactly 1 failed rebuild", st)
 	}
 	// No further probes: the node is lost, not cooling down.
-	rel, _ = c.Admit(context.Background())
-	rel()
-	if _, _, probes := c.BeginQuery(pdb, downNow, probeOK); probes != 0 {
+	runQuery(t, c, pdb, downNow, probeOK)
+	if v := runQuery(t, c, pdb, downNow, probeOK); v.Probed != 0 {
 		t.Fatal("lost node must not be probed again")
 	}
 }
 
-// TestAdmissionQueueTimeout: with one slot taken, a second query times
-// out with the typed admission error; releasing frees the slot.
-func TestAdmissionQueueTimeout(t *testing.T) {
-	c := newTestCluster(t, Options{MaxConcurrent: 1, QueueTimeout: 5 * time.Millisecond})
-	rel1, err := c.Admit(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Admit(context.Background()); !errors.Is(err, ErrAdmissionTimeout) {
-		t.Fatalf("second Admit = %v, want ErrAdmissionTimeout", err)
-	}
-	rel1()
-	rel2, err := c.Admit(context.Background())
-	if err != nil {
-		t.Fatalf("after release: %v", err)
-	}
-	rel2()
-	rel2() // double release must be a no-op
-	st := c.Stats()
-	if st.Admitted != 2 || st.Rejected != 1 {
-		t.Fatalf("admitted=%d rejected=%d, want 2/1", st.Admitted, st.Rejected)
-	}
-}
-
-// TestAdmissionContextCancel: a cancelled caller context aborts the wait.
-func TestAdmissionContextCancel(t *testing.T) {
-	c := newTestCluster(t, Options{MaxConcurrent: 1})
-	rel, err := c.Admit(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rel()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := c.Admit(ctx); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Admit under cancelled ctx = %v, want context.Canceled", err)
-	}
-}
-
 // TestHedgeDelayPricing: cold sampler → MaxDelay; warm sampler →
-// clamp(quantile × multiplier, Min, Max).
+// clamp(2 × p95, Min, Max).
 func TestHedgeDelayPricing(t *testing.T) {
 	c := newTestCluster(t, Options{Hedge: HedgePolicy{
-		Enabled: true, Quantile: 0.9, Multiplier: 2,
-		MinDelay: time.Millisecond, MaxDelay: 100 * time.Millisecond, MinSamples: 8,
+		Enabled: true, MinDelay: time.Millisecond, MaxDelay: 100 * time.Millisecond,
 	}})
+	for i := 0; i < hedgeWarmup-1; i++ {
+		c.ObserveUnit(3 * time.Millisecond)
+	}
 	d, ok := c.HedgeDelay()
 	if !ok || d != 100*time.Millisecond {
 		t.Fatalf("cold delay = %v ok=%v, want MaxDelay", d, ok)
@@ -297,13 +269,15 @@ func TestHedgeDelayPricing(t *testing.T) {
 	}
 	d, ok = c.HedgeDelay()
 	if !ok || d != 6*time.Millisecond {
-		t.Fatalf("warm delay = %v ok=%v, want 6ms (2 × p90 of 3ms)", d, ok)
+		t.Fatalf("warm delay = %v ok=%v, want 6ms (2 × p95 of 3ms)", d, ok)
 	}
 	// Clamping at both ends.
 	cLow := newTestCluster(t, Options{Hedge: HedgePolicy{
-		Enabled: true, MinDelay: 50 * time.Millisecond, MaxDelay: 60 * time.Millisecond, MinSamples: 1,
+		Enabled: true, MinDelay: 50 * time.Millisecond, MaxDelay: 60 * time.Millisecond,
 	}})
-	cLow.ObserveUnit(time.Microsecond)
+	for i := 0; i < hedgeWarmup; i++ {
+		cLow.ObserveUnit(time.Microsecond)
+	}
 	if d, _ := cLow.HedgeDelay(); d != 50*time.Millisecond {
 		t.Fatalf("clamped-low delay = %v, want MinDelay", d)
 	}
@@ -314,13 +288,13 @@ func TestHedgeDelayPricing(t *testing.T) {
 }
 
 // TestCloseIdempotentAndWakesWaiters: Close joins the worker, is safe to
-// call twice, and rejects later admissions.
+// call twice, and rejects later queries.
 func TestCloseIdempotentAndWakesWaiters(t *testing.T) {
 	c := New(Options{Nodes: 2})
 	c.Close()
 	c.Close()
-	if _, err := c.Admit(context.Background()); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Admit after Close = %v, want ErrClosed", err)
+	if _, _, _, err := c.BeginQuery(nil, nil, nil); !errors.Is(err, ErrClosed) {
+		t.Fatalf("BeginQuery after Close = %v, want ErrClosed", err)
 	}
 	c.WaitRebuilds() // must not hang on a closed cluster
 }

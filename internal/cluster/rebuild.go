@@ -21,20 +21,17 @@ import "pref/internal/table"
 // with no surviving copy makes the node unrecoverable: it stays down,
 // marked lost, and is never probed again.
 
-// RebuildSource is what the rebuild worker re-materializes partitions
-// from: the cluster's partitioned database.
-type RebuildSource = *table.PartitionedDatabase
-
-// rebuildJob asks the worker to re-materialize one node's partitions.
+// rebuildJob asks the worker to re-materialize one node's partitions
+// from the cluster's partitioned database.
 type rebuildJob struct {
 	node int
-	src  RebuildSource
+	src  *table.PartitionedDatabase
 }
 
 // enqueueRebuild hands a freshly probed node to the background worker.
 // Callers hold c.mu. With no rebuild source the node recovers
 // immediately: there is nothing to re-materialize.
-func (c *Cluster) enqueueRebuild(nodeID int, src RebuildSource) {
+func (c *Cluster) enqueueRebuild(nodeID int, src *table.PartitionedDatabase) {
 	if src == nil {
 		c.finishRecoveryLocked(nodeID, true, 0, 0)
 		return

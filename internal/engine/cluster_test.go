@@ -80,7 +80,9 @@ func replicatedDB(t *testing.T) (*table.Database, *partition.Config) {
 // TestBreakerRoutesAroundFlakyNode is the headline breaker property: a
 // terminally flaky node fails the first query, trips the breaker, and
 // every later query routes around it with zero retry attempts instead of
-// re-burning the retry budget.
+// re-burning the retry budget. The failed first query still counts toward
+// the one-query cool-down, so every later query runs one half-open probe,
+// which the still-flaky node fails.
 func TestBreakerRoutesAroundFlakyNode(t *testing.T) {
 	db := testDB(t)
 	cfg := testConfigs(4)["classical"] // customer replicated: recoverable
@@ -93,7 +95,7 @@ func TestBreakerRoutesAroundFlakyNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl := cluster.New(cluster.Options{Nodes: 4, TripAfter: 2, CoolDownQueries: 1000})
+	cl := cluster.New(cluster.Options{Nodes: 4, TripAfter: 2, CoolDownQueries: 1})
 	defer cl.Close()
 	pol := &fault.Policy{Seed: 7, FlakyNodes: map[int]int{1: 99}}
 
@@ -122,6 +124,9 @@ func TestBreakerRoutesAroundFlakyNode(t *testing.T) {
 		}
 		if res.Trace.Totals.Retries != 0 {
 			t.Fatalf("query %d: trace shows %d retries, want 0", q, res.Trace.Totals.Retries)
+		}
+		if res.Stats.Probes != 1 {
+			t.Fatalf("query %d: Probes = %d, want 1 (cool-down ticked by the query before)", q, res.Stats.Probes)
 		}
 	}
 	if trips := cl.Stats().Trips; trips != 1 {
@@ -334,43 +339,20 @@ func TestHedgeEverywhereStillCorrect(t *testing.T) {
 	}
 }
 
-// TestAdmissionControl: with one execution slot held by a deliberately
-// slow query, a second query times out in the admission queue with the
-// typed error instead of piling onto a saturated cluster.
-func TestAdmissionControl(t *testing.T) {
+// TestClusterNodeCountMismatch: a cluster sized for fewer nodes than the
+// database has partitions refuses the query with a typed error before any
+// work runs, instead of a partition goroutine indexing past the cluster's
+// node table and crashing the process.
+func TestClusterNodeCountMismatch(t *testing.T) {
 	db := testDB(t)
-	cfg := testConfigs(4)["classical"]
-	mk := faultQueries()["filter-project"]
-	pq := prepareQuery(t, mk, db, cfg)
-	cl := cluster.New(cluster.Options{Nodes: 4, MaxConcurrent: 1, QueueTimeout: 10 * time.Millisecond})
+	pq := prepareQuery(t, faultQueries()["filter-project"], db, testConfigs(4)["classical"])
+	cl := cluster.New(cluster.Options{Nodes: 2})
 	defer cl.Close()
-
-	slow := &fault.Policy{Seed: 1, StragglerProb: 1, StragglerDelay: 300 * time.Millisecond}
-	done := make(chan error, 1)
-	go func() {
-		_, err := pq.run(t, ExecOptions{Fault: slow, Cluster: cl})
-		done <- err
-	}()
-	// Wait until the slow query holds the slot.
-	for i := 0; i < 200 && cl.Stats().Admitted == 0; i++ {
-		time.Sleep(time.Millisecond)
+	if _, err := pq.run(t, ExecOptions{Cluster: cl}); !errors.Is(err, cluster.ErrNodeCount) {
+		t.Fatalf("err = %v, want cluster.ErrNodeCount", err)
 	}
-	if cl.Stats().Admitted == 0 {
-		t.Fatal("slow query never admitted")
-	}
-	_, err := pq.run(t, ExecOptions{Cluster: cl})
-	if !errors.Is(err, cluster.ErrAdmissionTimeout) {
-		t.Fatalf("second query err = %v, want ErrAdmissionTimeout", err)
-	}
-	if err := <-done; err != nil {
-		t.Fatalf("slow query: %v", err)
-	}
-	if st := cl.Stats(); st.Rejected != 1 {
-		t.Fatalf("Rejected = %d, want 1", st.Rejected)
-	}
-	// The freed slot admits the next query normally.
-	if _, err := pq.run(t, ExecOptions{Cluster: cl}); err != nil {
-		t.Fatal(err)
+	if st := cl.Stats(); st.Epoch != 0 || st.Trips != 0 {
+		t.Fatalf("refused query touched cluster health: %+v", st)
 	}
 }
 
@@ -384,7 +366,6 @@ func typedFailure(err error) bool {
 		errors.Is(err, fault.ErrPartitionLost) ||
 		errors.As(err, &ple) ||
 		errors.Is(err, cluster.ErrNodeTripped) ||
-		errors.Is(err, cluster.ErrAdmissionTimeout) ||
 		errors.Is(err, context.DeadlineExceeded) ||
 		errors.Is(err, ErrAllNodesDown)
 }
@@ -452,7 +433,7 @@ func TestChaosSoak(t *testing.T) {
 	verifyLeaks := testutil.CheckGoroutineLeaks(t)
 	for s := 0; s < schedules; s++ {
 		pol := soakPolicy(int64(1000 + s))
-		copt := cluster.Options{Nodes: 4, TripAfter: 3, CoolDownQueries: 1, MaxConcurrent: 8}
+		copt := cluster.Options{Nodes: 4, TripAfter: 3, CoolDownQueries: 1}
 		if s%3 == 0 {
 			copt.Hedge = cluster.HedgePolicy{Enabled: true, MinDelay: 50 * time.Microsecond, MaxDelay: 500 * time.Microsecond}
 		}

@@ -136,16 +136,14 @@ type ExecOptions struct {
 	// vectorized columnar path (vec.go). The two produce byte-identical
 	// results, traces, and Stats — the differential oracle in
 	// internal/bench holds them to it — so this is a debugging and
-	// benchmarking switch, not a semantics switch. Setting the
-	// PREF_ROW_ENGINE environment variable to any non-empty value forces
-	// the row engine process-wide.
+	// benchmarking switch, not a semantics switch.
 	RowEngine bool
 	// Cluster attaches the query to a long-lived cluster health layer:
-	// admission control, circuit-breaker routing (nodes tripped by earlier
-	// queries are routed around without burning retries), half-open
-	// probing with background partition rebuild, and hedged execution for
-	// straggling partition units. Nil executes without the layer, exactly
-	// as before it existed.
+	// circuit-breaker routing (nodes tripped by earlier queries are routed
+	// around without burning retries), half-open probing with background
+	// partition rebuild, and hedged execution for straggling partition
+	// units. Its node count must equal pdb.N (cluster.ErrNodeCount). Nil
+	// executes without the layer, exactly as before it existed.
 	Cluster *cluster.Cluster
 }
 
@@ -167,7 +165,7 @@ type executor struct {
 	opSeq   int   // deterministic operator counter (main goroutine only)
 	execDst []int // executing node per logical partition (buddy when down)
 	// cl is the cluster health layer (nil: disabled); view is its
-	// admission-time snapshot and down the effective down set — injector
+	// query-start snapshot and down the effective down set — injector
 	// faults not yet healed, plus breaker-tripped nodes — both immutable
 	// for the whole query.
 	cl   *cluster.Cluster
@@ -181,8 +179,7 @@ type executor struct {
 	hedgeDelay time.Duration
 	hedgeOK    bool
 	// useVec selects the vectorized columnar path for vectorizable
-	// subtrees (see eval); off under ExecOptions.RowEngine or
-	// PREF_ROW_ENGINE.
+	// subtrees (see eval); off under ExecOptions.RowEngine.
 	useVec bool
 	// tb is the trace sink; nil when tracing is off. Its ops' mutators
 	// are nil-safe, so recording sites need no enabled-checks. Note the
@@ -232,20 +229,21 @@ func ExecuteOpts(rw *plan.Rewritten, pdb *table.PartitionedDatabase, opt ExecOpt
 
 // ErrDeadlineExceeded reports a query killed by an expired deadline —
 // the caller's context deadline or the fault policy's per-query timeout —
-// anywhere along the propagation path: waiting in an admission queue,
-// between operator fan-outs, or inside a per-partition work unit. It is
-// deliberately distinct from cluster.ErrAdmissionTimeout (the admission
-// queue's own bounded wait, independent of any client deadline): a serving
-// layer shedding load and a client giving up are different events and are
-// priced differently. Matches errors.Is; the wrapped chain additionally
-// still matches context.DeadlineExceeded.
+// anywhere along the propagation path: between operator fan-outs or
+// inside a per-partition work unit. The serving layer reuses it for
+// queries whose deadline fires in its admission queue, and keeps it
+// distinct from serve.ErrAdmissionTimeout (the queue's own bounded wait,
+// independent of any client deadline): a serving layer shedding load and
+// a client giving up are different events and are priced differently.
+// Matches errors.Is; the wrapped chain additionally still matches
+// context.DeadlineExceeded.
 var ErrDeadlineExceeded = errors.New("engine: query deadline exceeded")
 
 // ExecuteCtx is ExecuteOpts under a caller-supplied context. The query
 // additionally gets its own deadline when the fault policy sets one;
 // cancelling ctx aborts all in-flight per-node work. A query killed by an
-// expired deadline — whether it died queued at admission or mid-execution
-// in a partition goroutine — fails with a typed ErrDeadlineExceeded.
+// expired deadline, wherever in execution it fired, fails with a typed
+// ErrDeadlineExceeded.
 func ExecuteCtx(ctx context.Context, rw *plan.Rewritten, pdb *table.PartitionedDatabase, opt ExecOptions) (*Result, error) {
 	res, err := executeCtx(ctx, rw, pdb, opt)
 	if err != nil && errors.Is(err, context.DeadlineExceeded) {
@@ -279,25 +277,18 @@ func executeCtx(ctx context.Context, rw *plan.Rewritten, pdb *table.PartitionedD
 	}
 	defer cancel()
 
-	// Admission first: a query that cannot get an execution slot must not
-	// touch cluster health or launch work. The release tick also advances
-	// breaker cool-downs (counted in completed queries).
+	// One cluster call per query: trip nodes the fault layer reports down
+	// right now, run due half-open probes (which may enqueue background
+	// rebuilds), and snapshot health and data. end ticks the breaker
+	// cool-downs, which count completed queries, failed ones included.
 	cl := opt.Cluster
-	release, err := cl.Admit(ctx)
+	view, snap, end, err := cl.BeginQuery(pdb, inj.NodeDown, inj.ProbeOK)
 	if err != nil {
 		return nil, fmt.Errorf("engine: query not admitted: %w", err)
 	}
-	defer release()
-
-	// One health snapshot per query: trip nodes the fault layer reports
-	// down right now, run due half-open probes (which may enqueue
-	// background rebuilds), and resolve the degraded placement from the
-	// per-epoch cache instead of once per scan.
-	view, snap, probes := cl.BeginQuery(pdb, inj.NodeDown, inj.ProbeOK)
+	defer end()
 	down := effectiveDown(pdb.N, inj, view)
-	execDst, err := cl.Placement(table.DownKey(down), func() ([]int, error) {
-		return buddyMap(pdb.N, down)
-	})
+	execDst, err := buddyMap(pdb.N, down)
 	if err != nil {
 		return nil, err
 	}
@@ -307,9 +298,9 @@ func executeCtx(ctx context.Context, rw *plan.Rewritten, pdb *table.PartitionedD
 		cl: cl, view: view, down: down, snap: snap,
 		nodeRow: make([]int64, pdb.N),
 	}
-	ex.stats.Probes = probes
+	ex.stats.Probes = view.Probed
 	ex.hedgeDelay, ex.hedgeOK = cl.HedgeDelay()
-	ex.useVec = !opt.RowEngine && !rowEnv()
+	ex.useVec = !opt.RowEngine
 	if opt.Trace || traceEnv() {
 		ex.tb = trace.NewBuilder(pdb.N)
 	}

@@ -168,12 +168,10 @@ func TestVecRowEquivalenceUnderNodeLoss(t *testing.T) {
 	}
 }
 
-// TestRowEngineEnvForcesRowPath pins the PREF_ROW_ENGINE contract: the
-// option and the environment toggle select the reference engine.
-func TestRowEngineEnvForcesRowPath(t *testing.T) {
-	// rowEnv is a sync.OnceValue over the environment, so the env path
-	// cannot be toggled per-test; assert the option path plus the
-	// resolved default.
+// TestRowEngineOptionMatchesVectorized pins the ExecOptions.RowEngine
+// contract: the option selects the row-at-a-time reference engine, which
+// returns the same rows as the vectorized default.
+func TestRowEngineOptionMatchesVectorized(t *testing.T) {
 	_, exec := buildVecScenario(t, 3)
 	if exec == nil {
 		t.Skip("seed 3 is a generator miss")

@@ -4,16 +4,18 @@
 // retry budgets, a plan cache, streaming delivery with backpressure, and
 // graceful drain.
 //
-// Every submission climbs a four-rung admission ladder before any work
+// Every submission climbs a three-rung admission ladder before any work
 // runs:
 //
-//	1. quota  — the tenant's token bucket (sustained rate + burst)
-//	2. shed   — cost-priced overload protection: above the load
-//	            threshold, expensive queries are turned away first
-//	3. queue  — the server's weighted-fair serving slots (bounded
-//	            concurrency, fair across tenants by weight)
-//	4. gate   — the cluster layer's own admission gate and breakers,
-//	            inside the engine
+//  1. quota — the tenant's token bucket (sustained rate + burst)
+//  2. shed — cost-priced overload protection: above the load threshold,
+//     expensive queries are turned away first
+//  3. queue — the server's weighted-fair serving slots (bounded
+//     concurrency, fair across tenants by weight)
+//
+// The queue is the only concurrency bound between a client and the
+// engine. Below the ladder, inside the engine, the cluster layer's
+// per-node circuit breakers route work around failing nodes.
 //
 // A query rejected at any rung fails with a typed *RejectedError; a query
 // killed by its client's deadline fails with engine.ErrDeadlineExceeded,
@@ -57,7 +59,7 @@ type Options struct {
 
 	// MaxConcurrent bounds concurrently served queries (rung 3 slots;
 	// default 8). QueueTimeout bounds the weighted-fair queue wait
-	// (default 1s); expiry rejects with cluster.ErrAdmissionTimeout.
+	// (default 1s); expiry rejects with ErrAdmissionTimeout.
 	MaxConcurrent int
 	QueueTimeout  time.Duration
 
@@ -72,8 +74,9 @@ type Options struct {
 	RetryEarn   float64
 	MaxAttempts int
 
-	// Cluster configures the rung-4 cluster layer. Nodes defaults to the
-	// design's partition count.
+	// Cluster configures the cluster health layer inside the engine
+	// (breakers, probes, rebuilds, hedging). Nodes defaults to the served
+	// database's partition count.
 	Cluster cluster.Options
 
 	// Exec is the base execution model (cache size, row engine). Its
@@ -119,9 +122,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.StreamBuffer <= 0 {
 		o.StreamBuffer = 2
-	}
-	if o.Cluster.Nodes <= 0 && o.Config != nil {
-		o.Cluster.Nodes = o.Config.NumPartitions
 	}
 	return o
 }
@@ -187,7 +187,8 @@ type Metrics struct {
 	PlanCacheSize   int
 	// Latency summarizes end-to-end latency of successful queries.
 	Latency Summary
-	// Cluster is the rung-4 gate's own counters.
+	// Cluster is the cluster health layer's counters (breaker trips,
+	// probes, rebuilds).
 	Cluster cluster.Stats
 }
 
@@ -214,6 +215,9 @@ func NewServer(opt Options) (*Server, error) {
 		if err != nil {
 			return nil, fmt.Errorf("serve: partitioning failed: %w", err)
 		}
+	}
+	if opt.Cluster.Nodes <= 0 {
+		opt.Cluster.Nodes = pdb.N
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
@@ -322,8 +326,8 @@ func (s *Server) Stream(ctx context.Context, tenant, query string) (*Stream, err
 	if err != nil {
 		cleanup()
 		switch {
-		case errors.Is(err, errQueueTimeout):
-			return nil, s.reject("queue", tenant, query, cost, s.opt.QueueTimeout, cluster.ErrAdmissionTimeout)
+		case errors.Is(err, ErrAdmissionTimeout):
+			return nil, s.reject("queue", tenant, query, cost, s.opt.QueueTimeout, err)
 		case errors.Is(err, context.DeadlineExceeded):
 			s.met.mu.Lock()
 			s.met.deadline++

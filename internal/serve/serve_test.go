@@ -298,8 +298,7 @@ func TestShedExpensiveQueriesFirst(t *testing.T) {
 }
 
 // TestQueueTimeout pins rung 3's bounded wait: a saturated server rejects
-// queued queries after QueueTimeout with the cluster's admission-timeout
-// sentinel.
+// queued queries after QueueTimeout with the admission-timeout sentinel.
 func TestQueueTimeout(t *testing.T) {
 	s := newTestServer(t, func(o *Options) {
 		o.MaxConcurrent = 1
@@ -312,12 +311,33 @@ func TestQueueTimeout(t *testing.T) {
 	}
 	defer st.Close()
 	_, err = s.Submit(context.Background(), "b", "count")
-	if !errors.Is(err, cluster.ErrAdmissionTimeout) {
-		t.Fatalf("err = %v, want cluster.ErrAdmissionTimeout", err)
+	if !errors.Is(err, ErrAdmissionTimeout) {
+		t.Fatalf("err = %v, want ErrAdmissionTimeout", err)
 	}
 	var rej *RejectedError
 	if !errors.As(err, &rej) || rej.Stage != "queue" {
 		t.Fatalf("rejection = %+v, want queue stage", err)
+	}
+	if m := s.Metrics(); m.Rejected["queue"] != 1 {
+		t.Fatalf("queue rejections = %d, want 1", m.Rejected["queue"])
+	}
+}
+
+// TestClusterNodesDefaultFromServedDatabase: with Cluster.Nodes unset, the
+// cluster is sized by the served database's partition count, not by the
+// design's, which may differ when Options.PDB is supplied.
+func TestClusterNodesDefaultFromServedDatabase(t *testing.T) {
+	db, cfg := testServeDB()
+	pdb, err := partition.Apply(db, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, func(o *Options) {
+		o.PDB = pdb
+		o.Config = partition.NewConfig(2)
+	})
+	if got := len(s.cl.View().Serving); got != pdb.N {
+		t.Fatalf("cluster nodes = %d, want the served database's %d partitions", got, pdb.N)
 	}
 }
 

@@ -311,14 +311,14 @@ var (
 
 // Cluster health-layer types. A Cluster is the long-lived membership and
 // health layer shared across queries: per-node health state machine and
-// circuit breaker, per-epoch degraded placements, admission control,
-// hedged stragglers, and background partition rebuild. Attach one via
-// ExecOptions.Cluster; a nil Cluster disables the layer.
+// circuit breaker, hedged stragglers, and background partition rebuild.
+// Attach one via ExecOptions.Cluster; a nil Cluster disables the layer.
+// It admits every query it is handed: bound concurrency with a Server.
 type (
-	// Cluster is the cross-query node-health and admission layer.
+	// Cluster is the cross-query node-health layer.
 	Cluster = cluster.Cluster
-	// ClusterOptions configures breaker thresholds, admission bounds and
-	// the hedging policy.
+	// ClusterOptions configures the node count, the breaker thresholds
+	// and the hedging policy.
 	ClusterOptions = cluster.Options
 	// ClusterView is one query's immutable health snapshot.
 	ClusterView = cluster.View
@@ -340,9 +340,6 @@ const (
 
 // Cluster sentinel errors, for errors.Is against failed executions.
 var (
-	// ErrAdmissionTimeout matches queries that timed out waiting for an
-	// execution slot.
-	ErrAdmissionTimeout = cluster.ErrAdmissionTimeout
 	// ErrNodeTripped matches work units failed fast by an open breaker.
 	ErrNodeTripped = cluster.ErrNodeTripped
 )
@@ -386,10 +383,13 @@ type (
 )
 
 // Serving-layer sentinel errors, for errors.Is against failed
-// submissions. Together with ErrAdmissionTimeout (the queue rung) and the
-// fault sentinels they form the complete rejection taxonomy: every query
-// a server turns away fails with exactly one of these.
+// submissions. Together with the fault sentinels they form the complete
+// rejection taxonomy: every query a server turns away fails with exactly
+// one of these.
 var (
+	// ErrAdmissionTimeout matches submissions that waited longer than the
+	// server's QueueTimeout for a serving slot (the queue rung).
+	ErrAdmissionTimeout = serve.ErrAdmissionTimeout
 	// ErrDeadlineExceeded matches queries killed by an expired deadline —
 	// client context or per-query timeout — anywhere along the path;
 	// context.DeadlineExceeded stays matchable underneath. Deliberately
