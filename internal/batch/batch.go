@@ -133,7 +133,8 @@ func Rows(bs []*Batch) int {
 // AppendRows materializes every live row of bs as value.Tuple rows appended
 // to dst, the inverse of Writer.AppendTuple — the row shim at the Result
 // boundary and at the retained row-operator seams (top-k sort,
-// final-aggregate merge).
+// distinct-by-value), and the reader of the few gathered partial rows a
+// final-aggregate merge consumes.
 func AppendRows(dst []value.Tuple, bs []*Batch) []value.Tuple {
 	total := Rows(bs)
 	if cap(dst)-len(dst) < total {

@@ -1,6 +1,7 @@
 package batch
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -149,12 +150,39 @@ func TestFilterMatchesRowEngine(t *testing.T) {
 			return plan.F("s", value.Int, []string{"a", "c"}, func(v []int64) int64 { return v[0] + v[1] })
 		}
 	}
+	// genConj builds a flat n-ary conjunction: several column-vs-literal
+	// legs (either operand order), sometimes a NULL-literal leg, sometimes
+	// a trailing function leg — the shapes the kernel narrows leg by leg.
+	genConj := func() plan.BoolExpr {
+		var legs []plan.BoolExpr
+		for k := 2 + rng.Intn(3); k > 0; k-- {
+			col := plan.Col([]string{"a", "b", "c"}[rng.Intn(3)])
+			lit := plan.Lit(int64(rng.Intn(9) - 4))
+			if rng.Intn(3) == 0 {
+				legs = append(legs, plan.Cmp(lit, plan.CmpOp(rng.Intn(6)), col))
+			} else {
+				legs = append(legs, plan.Cmp(col, plan.CmpOp(rng.Intn(6)), lit))
+			}
+		}
+		if rng.Intn(4) == 0 {
+			at := rng.Intn(len(legs) + 1)
+			null := plan.Cmp(plan.Col("c"), plan.CmpOp(rng.Intn(6)), plan.Lit(plan.Null))
+			legs = append(legs[:at], append([]plan.BoolExpr{null}, legs[at:]...)...)
+		}
+		if rng.Intn(2) == 0 {
+			fn := plan.F("s", value.Int, []string{"a", "c"}, func(v []int64) int64 { return v[0] + v[1] })
+			legs = append(legs, plan.Cmp(fn, plan.CmpOp(rng.Intn(6)), plan.Lit(int64(rng.Intn(9)-4))))
+		}
+		return plan.And(legs...)
+	}
 	var genPred func(d int) plan.BoolExpr
 	genPred = func(d int) plan.BoolExpr {
 		if d <= 0 {
 			return plan.Cmp(genExpr(), plan.CmpOp(rng.Intn(6)), genExpr())
 		}
-		switch rng.Intn(5) {
+		switch rng.Intn(6) {
+		case 4:
+			return genConj()
 		case 0:
 			return plan.And(genPred(d-1), genPred(d-1))
 		case 1:
@@ -168,8 +196,11 @@ func TestFilterMatchesRowEngine(t *testing.T) {
 		}
 	}
 
-	for trial := 0; trial < 120; trial++ {
+	for trial := 0; trial < 240; trial++ {
 		p := genPred(rng.Intn(3))
+		if trial%3 == 0 {
+			p = genConj()
+		}
 		bound, err := p.Bind(sch)
 		if err != nil {
 			t.Fatalf("bind: %v", err)
@@ -202,45 +233,72 @@ func TestFilterMatchesRowEngine(t *testing.T) {
 }
 
 // TestProjectMatchesRowEngine checks the projection kernel (column picks,
-// literals, computed funcs) against Bind closures.
+// literals, computed funcs) against Bind closures, on a narrow input and on
+// a wide one (lineitem's 18 columns) whose computed expressions read a few
+// scattered columns — the kernel gathers only a func's argument columns, so
+// the wide case pins that it picks the right ones, with and without a
+// selection vector.
 func TestProjectMatchesRowEngine(t *testing.T) {
-	sch := plan.Schema{{Name: "x", Kind: value.Int}, {Name: "y", Kind: value.Int}}
-	exprs := []plan.ValExpr{
-		plan.Col("y"),
-		plan.Lit(7),
-		plan.F("d", value.Int, []string{"x", "y"}, func(v []int64) int64 { return v[0] - v[1] }),
-		plan.Col("x"),
+	wide := make(plan.Schema, 18)
+	for c := range wide {
+		wide[c] = plan.Field{Name: fmt.Sprintf("c%d", c), Kind: value.Int}
 	}
-	bounds := make([]func(value.Tuple) int64, len(exprs))
-	vexprs := make([]*plan.VExpr, len(exprs))
-	for i, e := range exprs {
-		var err error
-		if bounds[i], err = e.Bind(sch); err != nil {
-			t.Fatalf("bind: %v", err)
-		}
-		if vexprs[i], err = plan.CompileExpr(e, sch); err != nil {
-			t.Fatalf("compile: %v", err)
-		}
+	cases := []struct {
+		name  string
+		sch   plan.Schema
+		exprs []plan.ValExpr
+	}{
+		{"narrow", plan.Schema{{Name: "x", Kind: value.Int}, {Name: "y", Kind: value.Int}}, []plan.ValExpr{
+			plan.Col("y"),
+			plan.Lit(7),
+			plan.F("d", value.Int, []string{"x", "y"}, func(v []int64) int64 { return v[0] - v[1] }),
+			plan.Col("x"),
+		}},
+		{"wide", wide, []plan.ValExpr{
+			plan.F("charge", value.Int, []string{"c5", "c6", "c7"},
+				func(v []int64) int64 { return v[0]*(100-v[1])/100*(100+v[2]) + 3*v[2] }),
+			plan.Col("c17"),
+			plan.F("rev", value.Int, []string{"c16", "c0"}, func(v []int64) int64 { return v[0]*10 - v[1] }),
+			plan.F("one", value.Int, []string{"c9"}, func(v []int64) int64 { return -v[0] }),
+		}},
 	}
 	rng := rand.New(rand.NewSource(4))
-	for _, n := range boundarySizes {
-		rows := randRows(rng, n, len(sch))
-		sel := randSel(rng, n)
-		b := View(colsOf(rows, len(sch))).WithSel(sel)
-		var want []value.Tuple
-		for _, r := range applySel(rows, sel) {
-			out := make(value.Tuple, len(exprs))
-			for i := range exprs {
-				out[i] = bounds[i](r)
+	for _, tc := range cases {
+		bounds := make([]func(value.Tuple) int64, len(tc.exprs))
+		vexprs := make([]*plan.VExpr, len(tc.exprs))
+		for i, e := range tc.exprs {
+			var err error
+			if bounds[i], err = e.Bind(tc.sch); err != nil {
+				t.Fatalf("%s: bind: %v", tc.name, err)
 			}
-			want = append(want, out)
+			if vexprs[i], err = plan.CompileExpr(e, tc.sch); err != nil {
+				t.Fatalf("%s: compile: %v", tc.name, err)
+			}
 		}
-		out := Project(b, vexprs)
-		got := AppendRows(nil, []*Batch{out})
-		if !tuplesEqual(got, want) {
-			t.Fatalf("n=%d: projection kernel disagrees with row engine", n)
+		for _, n := range boundarySizes {
+			for _, selected := range []bool{false, true} {
+				rows := randRows(rng, n, len(tc.sch))
+				var sel []int32
+				for selected && sel == nil && n > 0 {
+					sel = randSel(rng, n)
+				}
+				b := View(colsOf(rows, len(tc.sch))).WithSel(sel)
+				var want []value.Tuple
+				for _, r := range applySel(rows, sel) {
+					out := make(value.Tuple, len(tc.exprs))
+					for i := range tc.exprs {
+						out[i] = bounds[i](r)
+					}
+					want = append(want, out)
+				}
+				out := Project(b, vexprs)
+				got := AppendRows(nil, []*Batch{out})
+				if !tuplesEqual(got, want) {
+					t.Fatalf("%s n=%d sel=%v: projection kernel disagrees with row engine", tc.name, n, sel != nil)
+				}
+				out.Release()
+			}
 		}
-		out.Release()
 	}
 }
 
@@ -345,6 +403,56 @@ func TestWriterBoundaries(t *testing.T) {
 		got := AppendRows(nil, w.Finish())
 		if !tuplesEqual(got, rows) {
 			t.Fatalf("n=%d: writer round trip mismatch", n)
+		}
+	}
+}
+
+// TestGroupsMatchesMakeKey pins the grouping table against the row
+// engine's string-keyed grouping: across several batches (with and without
+// selections), rows with equal value.MakeKey keys get equal ids, ids are
+// dense in first-seen order, and each group keeps its key values. A table
+// with no key columns puts every row in group 0.
+func TestGroupsMatchesMakeKey(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, cols := range [][]int{nil, {1}, {2, 0}, {3, 1, 2}} {
+		g := NewGroups(cols)
+		ref := map[value.Key]int32{}
+		var refKeys []value.Tuple
+		var gid []int32
+		for _, n := range boundarySizes {
+			rows := randRows(rng, n, 4)
+			sel := randSel(rng, n)
+			gid = g.Assign(gid[:0], View(colsOf(rows, 4)).WithSel(sel))
+			live := applySel(rows, sel)
+			if len(gid) != len(live) {
+				t.Fatalf("cols %v n=%d: %d ids for %d live rows", cols, n, len(gid), len(live))
+			}
+			for i, r := range live {
+				k := value.MakeKey(r, cols)
+				want, ok := ref[k]
+				if !ok {
+					want = int32(len(refKeys))
+					ref[k] = want
+					key := make(value.Tuple, len(cols))
+					for j, c := range cols {
+						key[j] = r[c]
+					}
+					refKeys = append(refKeys, key)
+				}
+				if gid[i] != want {
+					t.Fatalf("cols %v n=%d row %d: group %d, want %d", cols, n, i, gid[i], want)
+				}
+			}
+		}
+		if g.Len() != len(refKeys) {
+			t.Fatalf("cols %v: %d groups, want %d", cols, g.Len(), len(refKeys))
+		}
+		for id, key := range refKeys {
+			for j := range cols {
+				if g.Key(j, id) != key[j] {
+					t.Fatalf("cols %v: group %d key column %d = %d, want %d", cols, id, j, g.Key(j, id), key[j])
+				}
+			}
 		}
 	}
 }

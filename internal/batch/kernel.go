@@ -2,6 +2,7 @@ package batch
 
 import (
 	"encoding/binary"
+	"math/bits"
 
 	"pref/internal/plan"
 	"pref/internal/value"
@@ -37,26 +38,44 @@ func appendSelected(sel []int32, b *Batch, p *plan.VPred) []int32 {
 	if col, op, lit, ok := colLitCmp(p); ok {
 		return selCmpLit(sel, b, col, op, lit)
 	}
-	// Fast path 2: conjunction — evaluate the first leg with the fast path,
-	// then narrow the survivors with the remaining legs row-at-a-time.
-	if p.Op == plan.VAnd && len(p.Kids) > 0 {
-		if col, op, lit, ok := colLitCmp(p.Kids[0]); ok {
-			first := selCmpLit(nil, b, col, op, lit)
-			if len(p.Kids) == 1 {
-				return append(sel, first...)
+	// Fast path 2: conjunction — narrow the selection leg by leg with a
+	// column loop per column-vs-literal leg, in place after the first, then
+	// run only the remaining legs, in their original order, row-at-a-time
+	// over the survivors. Legs are pure and NULL comparisons are false, so
+	// the conjunction's value is independent of leg order, and every
+	// remaining leg sees a subset of the rows it would have seen in plan
+	// order.
+	if p.Op == plan.VAnd {
+		start := len(sel)
+		narrowed, rowLegs := false, false
+		for _, k := range p.Kids {
+			col, op, lit, ok := colLitCmp(k)
+			switch {
+			case !ok:
+				rowLegs = true
+			case !narrowed:
+				sel = selCmpLit(sel, b, col, op, lit)
+				narrowed = true
+			default:
+				sel = narrowSel(sel[:start], sel[start:], b.Cols[col], op, lit)
 			}
-			rest := &plan.VPred{Op: plan.VAnd, Kids: p.Kids[1:]}
-			scratch := scratchFor(rest)
+		}
+		if narrowed {
+			if !rowLegs {
+				return sel
+			}
+			scratch := scratchFor(p)
 			row := make([]int64, b.Width())
-			for _, phys := range first {
+			kept := sel[:start]
+			for _, phys := range sel[start:] {
 				for c, colv := range b.Cols {
 					row[c] = colv[phys]
 				}
-				if rest.EvalRow(row, scratch) {
-					sel = append(sel, phys)
+				if evalRowLegs(p, row, scratch) {
+					kept = append(kept, phys)
 				}
 			}
-			return sel
+			return kept
 		}
 	}
 	// General path: compiled row evaluator over the live rows.
@@ -76,6 +95,17 @@ func appendSelected(sel []int32, b *Batch, p *plan.VPred) []int32 {
 		}
 	}
 	return sel
+}
+
+// evalRowLegs evaluates the legs of conjunction p that are not
+// column-vs-literal comparisons over one materialized row.
+func evalRowLegs(p *plan.VPred, row, scratch []int64) bool {
+	for _, k := range p.Kids {
+		if _, _, _, ok := colLitCmp(k); !ok && !k.EvalRow(row, scratch) {
+			return false
+		}
+	}
+	return true
 }
 
 func scratchFor(p *plan.VPred) []int64 {
@@ -170,48 +200,73 @@ func selCmpLit(sel []int32, b *Batch, col int, op plan.CmpOp, lit int64) []int32
 		}
 		return sel
 	}
-	for _, phys := range b.Sel {
-		if cmpKeep(c[phys], op, lit) {
-			sel = append(sel, phys)
-		}
-	}
-	return sel
+	return narrowSel(sel, b.Sel, c, op, lit)
 }
 
-// cmpKeep applies one encoded comparison with NULL-fails semantics.
-// plan.Null is math.MinInt64, so v > lit and v >= lit can never spuriously
-// admit it (lit itself is checked non-NULL by the caller); the other
-// operators need the explicit guard.
-func cmpKeep(v int64, op plan.CmpOp, lit int64) bool {
-	if v == plan.Null {
-		return false
+// narrowSel appends to dst the physical rows of src whose value in column
+// c passes `c <op> lit`, one specialized loop per operator, with
+// NULL-fails semantics. plan.Null is math.MinInt64, so > and >= can never
+// spuriously admit it once lit is known non-NULL; the other operators need
+// the explicit guard. dst may share src's backing array from the same
+// start (in-place narrowing): each write lands at or before the element
+// being read.
+func narrowSel(dst, src []int32, c []int64, op plan.CmpOp, lit int64) []int32 {
+	if lit == plan.Null {
+		return dst
 	}
 	switch op {
 	case plan.EQ:
-		return v == lit
+		for _, phys := range src {
+			if c[phys] == lit {
+				dst = append(dst, phys)
+			}
+		}
 	case plan.NE:
-		return v != lit
+		for _, phys := range src {
+			if v := c[phys]; v != lit && v != plan.Null {
+				dst = append(dst, phys)
+			}
+		}
 	case plan.LT:
-		return v < lit
+		for _, phys := range src {
+			if v := c[phys]; v < lit && v != plan.Null {
+				dst = append(dst, phys)
+			}
+		}
 	case plan.LE:
-		return v <= lit
+		for _, phys := range src {
+			if v := c[phys]; v <= lit && v != plan.Null {
+				dst = append(dst, phys)
+			}
+		}
 	case plan.GT:
-		return v > lit
-	default:
-		return v >= lit
+		for _, phys := range src {
+			if c[phys] > lit {
+				dst = append(dst, phys)
+			}
+		}
+	case plan.GE:
+		for _, phys := range src {
+			if c[phys] >= lit {
+				dst = append(dst, phys)
+			}
+		}
 	}
+	return dst
 }
 
 // Project evaluates exprs over b's live rows into a fresh dense pooled
 // batch. Pure column picks copy with a single gather loop per output
-// column; computed expressions fall back to the compiled row evaluator.
+// column; computed expressions gather only their argument columns (a
+// VFunc's arguments are always plain column indexes) into a scratch
+// buffer per live row and apply the function.
 func Project(b *Batch, exprs []*plan.VExpr) *Batch {
 	n := b.Len()
 	out := get(len(exprs))
 	for c := range out.Cols {
 		out.Cols[c] = grow(out.Cols[c], n)
 	}
-	var row, scratch []int64
+	var scratch []int64
 	for c, e := range exprs {
 		dst := out.Cols[c]
 		switch e.Op {
@@ -229,14 +284,24 @@ func Project(b *Batch, exprs []*plan.VExpr) *Batch {
 				dst[i] = e.Lit
 			}
 		default:
-			if row == nil {
-				row = make([]int64, b.Width())
-			}
 			if len(scratch) < len(e.Cols) {
 				scratch = make([]int64, len(e.Cols))
 			}
-			for i := 0; i < n; i++ {
-				out.Cols[c][i] = e.EvalRow(b.Row(i, row), scratch)
+			args := scratch[:len(e.Cols)]
+			if b.Sel == nil {
+				for i := range dst {
+					for k, col := range e.Cols {
+						args[k] = b.Cols[col][i]
+					}
+					dst[i] = e.Fn(args)
+				}
+			} else {
+				for i, phys := range b.Sel {
+					for k, col := range e.Cols {
+						args[k] = b.Cols[col][phys]
+					}
+					dst[i] = e.Fn(args)
+				}
 			}
 		}
 	}
@@ -364,6 +429,150 @@ func (kb *KeyBuf) Probe(m map[value.Key][]int32) ([]int32, bool) {
 // Key interns the current buffer contents as an owned value.Key (allocates;
 // use for map insertion).
 func (kb *KeyBuf) Key() value.Key { return value.Key(string(kb.buf)) }
+
+// Groups is the insert-or-find table of a hash aggregation: it maps each
+// live row's composite group key to a dense int32 group id, assigned in
+// first-seen order, and keeps every group's key values. Key equality is
+// int64 equality on every key column — the relation value.MakeKey's byte
+// encoding induces — so groups match the row engine's. Rows hash a column
+// at a time into a per-batch buffer, then probe an open-addressed slot
+// array and compare against the stored keys directly: neither step
+// allocates, and keys live in one amortized growing array rather than one
+// key string per group. With no key columns (a global aggregation) every
+// row belongs to group 0 and nothing is hashed.
+type Groups struct {
+	cols   []int
+	keys   []int64   // row-major: group g's key is keys[g*len(cols):][:len(cols)]
+	hashes []uint64  // hashes[g]: group g's key hash, kept for rehashing
+	slots  []int32   // group id + 1; 0 = empty
+	shift  uint      // 64 - log2(len(slots)): a hash's home slot is h >> shift
+	hbuf   []uint64  // per-batch row hashes
+	kcols  [][]int64 // the current batch's key column vectors
+	n      int
+}
+
+// NewGroups opens an empty group table over the given key columns.
+func NewGroups(cols []int) *Groups {
+	g := &Groups{cols: cols}
+	if len(cols) > 0 {
+		// Start roomy: a low-cardinality key (the common GROUP BY on flag
+		// columns) then probes without collisions.
+		g.rehash(256)
+	}
+	return g
+}
+
+// rehash rebuilds the slot array at the given power-of-two size.
+func (g *Groups) rehash(size int) {
+	g.slots = make([]int32, size)
+	g.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	mask := uint64(size - 1)
+	for id, h := range g.hashes {
+		s := h >> g.shift
+		for g.slots[s] != 0 {
+			s = (s + 1) & mask
+		}
+		g.slots[s] = int32(id) + 1
+	}
+}
+
+// Assign appends the group id of every live row of b to gid, in live-row
+// order, inserting unseen keys as new groups, and returns the extended
+// slice.
+func (g *Groups) Assign(gid []int32, b *Batch) []int32 {
+	n := b.Len()
+	if len(g.cols) == 0 {
+		if n > 0 {
+			g.n = 1
+		}
+		for i := 0; i < n; i++ {
+			gid = append(gid, 0)
+		}
+		return gid
+	}
+	if cap(g.hbuf) < n {
+		g.hbuf = make([]uint64, n)
+	}
+	h := g.hbuf[:n]
+	for k := range h {
+		h[k] = fib64
+	}
+	g.kcols = g.kcols[:0]
+	for _, c := range g.cols {
+		col := b.Cols[c]
+		g.kcols = append(g.kcols, col)
+		if b.Sel == nil {
+			col = col[:n]
+			for k, v := range col {
+				h[k] = (h[k] ^ uint64(v)) * fib64
+			}
+		} else {
+			for k, phys := range b.Sel {
+				h[k] = (h[k] ^ uint64(col[phys])) * fib64
+			}
+		}
+	}
+	// A one-column key's hash, (fib64 ^ v) · fib64 mod 2^64, is a bijection
+	// (xor with a constant, then multiplication by an odd constant), so
+	// equal hashes already mean equal keys.
+	exact := len(g.cols) == 1
+	for k, hk := range h {
+		phys := k
+		if b.Sel != nil {
+			phys = int(b.Sel[k])
+		}
+		mask := uint64(len(g.slots) - 1)
+		s := hk >> g.shift
+		for {
+			e := g.slots[s]
+			if e == 0 {
+				gid = append(gid, g.insert(s, hk, phys))
+				break
+			}
+			if id := e - 1; g.hashes[id] == hk && (exact || g.equal(id, phys)) {
+				gid = append(gid, id)
+				break
+			}
+			s = (s + 1) & mask
+		}
+	}
+	return gid
+}
+
+// equal reports whether group id's key equals physical row phys of the
+// current batch.
+func (g *Groups) equal(id int32, phys int) bool {
+	key := g.keys[int(id)*len(g.kcols):][:len(g.kcols)]
+	for j, v := range key {
+		if v != g.kcols[j][phys] {
+			return false
+		}
+	}
+	return true
+}
+
+// insert adds physical row phys of the current batch as a new group in
+// empty slot s, growing the slot array past half load.
+func (g *Groups) insert(s, h uint64, phys int) int32 {
+	id := int32(g.n)
+	for _, col := range g.kcols {
+		g.keys = append(g.keys, col[phys])
+	}
+	g.hashes = append(g.hashes, h)
+	g.slots[s] = id + 1
+	g.n++
+	if 2*g.n > len(g.slots) {
+		g.rehash(2 * len(g.slots))
+	}
+	return id
+}
+
+// Len reports the number of groups seen so far.
+func (g *Groups) Len() int { return g.n }
+
+// Key returns group id's value of key column j (the j-th of the columns
+// the table was opened over).
+func (g *Groups) Key(j, id int) int64 { return g.keys[id*len(g.cols)+j] }
 
 // HashRow hashes the key columns of live row i of b, identical to
 // value.HashTuple on the materialized row.

@@ -19,13 +19,16 @@ import (
 //     column vectors zero-copy and runs a specialized column-vs-literal
 //     loop instead of a per-row predicate closure.
 //   - scan_agg_q1: full TPC-H Q1 (scan + ~98%-selective filter + wide
-//     aggregate). The aggregate is row-based on both engines, so this
-//     bounds the end-to-end win when the row shim materializes nearly
-//     every scanned row.
+//     grouped aggregate). The columnar path folds the filtered batches
+//     straight into per-group accumulators; the row engine materializes
+//     every surviving row and groups through string keys.
 //   - pref_chain_join: CUSTOMER ⋈ ORDERS ⋈ LINEITEM down the PREF chain
 //     of the paper's SD configuration — all joins partition-local, so
 //     the measured work is pure hash-join CPU: no-alloc key probes and
 //     pooled batch emit against per-row key strings and per-row allocs.
+//   - repl_q1, repl_q6: TPC-H Q1 and Q6 on AllReplicated at the run's
+//     own scale (p.SF) — the variant the serving benchmarks run, where
+//     aggregation is node-local and per-node CPU is the whole cost.
 //
 // Both engines execute identical plans over identical data and must
 // return identical Stats (the experiment fails otherwise — it doubles as
@@ -42,6 +45,15 @@ func VecThroughput(p Params) (*Report, error) {
 		return nil, err
 	}
 	eopt := sp.execOptions(t.DB.TotalRows())
+	// Every node of AllReplicated stores the whole database, so its rows
+	// run at p.SF itself: 10x would hold ten full copies.
+	tr := tpch.Generate(p.SF, p.Seed)
+	repl := singleGroup("AllReplicated", allReplicated(tr.DB, p.Parts))
+	mr, err := Materialize(repl, tr.DB)
+	if err != nil {
+		return nil, err
+	}
+	ropt := p.execOptions(tr.DB.TotalRows())
 
 	scan := func() plan.Node {
 		// SELECT orderkey, quantity, extendedprice WHERE quantity <= 2:
@@ -63,30 +75,45 @@ func VecThroughput(p Params) (*Report, error) {
 		// materializing 30+ columns per matched row on both engines.
 		return plan.ProjectCols(j, "c.custkey", "o.orderdate", "l.extendedprice")
 	}
+	type setup struct {
+		t    *tpch.TPCH
+		v    *Variant
+		m    *Materialized
+		eopt engine.ExecOptions
+	}
+	onSD := setup{t, sd, m, eopt}
+	onRepl := setup{tr, repl, mr, ropt}
 	cases := []struct {
 		name string
+		on   setup
 		mk   func() plan.Node
-	}{{"storage_scan", scan}, {"scan_agg_q1", q1}, {"pref_chain_join", chain}}
+	}{
+		{"storage_scan", onSD, scan},
+		{"scan_agg_q1", onSD, q1},
+		{"pref_chain_join", onSD, chain},
+		{"repl_q1", onRepl, func() plan.Node { return tr.Query("Q1") }},
+		{"repl_q6", onRepl, func() plan.Node { return tr.Query("Q6") }},
+	}
 
 	const iters = 5
-	one := func(mk func() plan.Node, rowEngine bool) (time.Duration, engine.Stats, error) {
+	one := func(on setup, mk func() plan.Node, rowEngine bool) (time.Duration, engine.Stats, error) {
 		// Level the heap, then run once untimed: the GC purges the batch
 		// arena (sync.Pool), so the warmup restores each engine's steady
 		// state — warm pool, warm column caches — before the clock starts.
 		runtime.GC()
-		e := eopt
+		e := on.eopt
 		e.RowEngine = rowEngine
-		if _, err := execOn(mk(), t, sd, m, plan.Options{}, sp.Cost, e); err != nil {
+		if _, err := execOn(mk(), on.t, on.v, on.m, plan.Options{}, sp.Cost, e); err != nil {
 			return 0, engine.Stats{}, err
 		}
-		run, err := execOn(mk(), t, sd, m, plan.Options{}, sp.Cost, e)
+		run, err := execOn(mk(), on.t, on.v, on.m, plan.Options{}, sp.Cost, e)
 		if err != nil {
 			return 0, engine.Stats{}, err
 		}
 		return run.Wall, run.Stats, nil
 	}
 
-	r := &Report{ID: "vec", Title: "Vectorized vs row engine throughput (SD-paper, 10x scale)",
+	r := &Report{ID: "vec", Title: "Vectorized vs row engine throughput (SD-paper at 10x scale, AllReplicated at 1x)",
 		Columns: []string{"row_krows_s", "vec_krows_s", "speedup"}}
 	for _, c := range cases {
 		// Interleave the engines round by round and keep each one's best
@@ -94,11 +121,11 @@ func VecThroughput(p Params) (*Report, error) {
 		var rowWall, vecWall time.Duration
 		var rowStats, vecStats engine.Stats
 		for i := 0; i < iters; i++ {
-			rw, rs, err := one(c.mk, true)
+			rw, rs, err := one(c.on, c.mk, true)
 			if err != nil {
 				return nil, fmt.Errorf("%s (row engine): %w", c.name, err)
 			}
-			vw, vs, err := one(c.mk, false)
+			vw, vs, err := one(c.on, c.mk, false)
 			if err != nil {
 				return nil, fmt.Errorf("%s (vectorized): %w", c.name, err)
 			}
@@ -120,7 +147,7 @@ func VecThroughput(p Params) (*Report, error) {
 		r.Add(c.name, rowTput, vecTput, float64(rowWall)/float64(vecWall))
 	}
 	r.Notes = append(r.Notes,
-		fmt.Sprintf("TPC-H SF %g (10x the default run), %d partitions; best of %d runs per engine", sp.SF, sp.Parts, iters),
+		fmt.Sprintf("SD-paper rows: TPC-H SF %g (10x -sf); repl_* rows: AllReplicated at SF %g; %d partitions; best of %d runs per engine", sp.SF, p.SF, sp.Parts, iters),
 		"throughput = Stats.RowsProcessed / wall; Stats are engine-identical so speedup is the wall-clock ratio on equal work")
 	return r, nil
 }

@@ -1,9 +1,11 @@
 package engine
 
 import (
+	"fmt"
 	"math"
 	"time"
 
+	"pref/internal/batch"
 	"pref/internal/plan"
 	"pref/internal/trace"
 	"pref/internal/value"
@@ -54,15 +56,18 @@ type groupAcc struct {
 	states []aggState
 }
 
-// aggPlanInfo pre-binds an aggregation against its input schema.
+// aggPlanInfo pre-binds an aggregation against its input schema: the row
+// engine binds each argument to a closure (argFns), the vectorized engine
+// compiles it to the IR batch.Project evaluates (args).
 type aggPlanInfo struct {
 	groupIdx []int
 	argFns   []func(value.Tuple) int64
+	args     []*plan.VExpr
 	isFloat  []bool
 	aggs     []plan.AggExpr
 }
 
-func bindAggs(groupBy []string, aggs []plan.AggExpr, sch plan.Schema) (*aggPlanInfo, error) {
+func bindAggs(groupBy []string, aggs []plan.AggExpr, sch plan.Schema, vec bool) (*aggPlanInfo, error) {
 	info := &aggPlanInfo{aggs: aggs}
 	for _, g := range groupBy {
 		i, err := sch.IndexOf(g)
@@ -72,9 +77,21 @@ func bindAggs(groupBy []string, aggs []plan.AggExpr, sch plan.Schema) (*aggPlanI
 		info.groupIdx = append(info.groupIdx, i)
 	}
 	for _, a := range aggs {
+		info.isFloat = append(info.isFloat, a.Arg != nil && a.Arg.Kind(sch) == value.Float)
 		if a.Arg == nil {
+			if a.Fn != plan.CountFn {
+				return nil, fmt.Errorf("engine: aggregate %s(%s) has no argument", a.Fn, a.As)
+			}
 			info.argFns = append(info.argFns, nil)
-			info.isFloat = append(info.isFloat, false)
+			info.args = append(info.args, nil)
+			continue
+		}
+		if vec {
+			e, err := plan.CompileExpr(a.Arg, sch)
+			if err != nil {
+				return nil, err
+			}
+			info.args = append(info.args, e)
 			continue
 		}
 		f, err := a.Arg.Bind(sch)
@@ -82,7 +99,6 @@ func bindAggs(groupBy []string, aggs []plan.AggExpr, sch plan.Schema) (*aggPlanI
 			return nil, err
 		}
 		info.argFns = append(info.argFns, f)
-		info.isFloat = append(info.isFloat, a.Arg.Kind(sch) == value.Float)
 	}
 	return info, nil
 }
@@ -167,107 +183,119 @@ func finalValue(a plan.AggExpr, s *aggState, isFloat bool) int64 {
 	}
 }
 
-func (ex *executor) evalAggregate(n *plan.AggregateNode) ([][]value.Tuple, error) {
-	top := ex.tb.Begin(n, trace.KindAggregate)
-	in, err := ex.eval(n.Child)
-	if err != nil {
-		return nil, err
-	}
-	ex.addInputs(top, in)
-	sch := ex.rw.Schemas[n.Child]
-	// Over a Gathered input only partition 0 is ever consumed downstream,
-	// so the empty-input identity row of a global aggregation must not be
-	// fabricated on the other partitions (phantom rows that inflate work
-	// and break trace row conservation).
-	childProp := ex.rw.Props[n.Child]
-	gathered := childProp != nil && childProp.Gathered
-	return forEachPart(ex, top, func(p int) ([]value.Tuple, int, error) {
-		info, err := bindAggs(n.GroupBy, n.Aggs, sch)
-		if err != nil {
-			return nil, 0, err
-		}
-		groups := info.accumulate(in[p])
-		if len(n.GroupBy) == 0 && len(groups) == 0 && (p == 0 || !gathered) {
-			// A global aggregation always yields one row (COUNT()=0).
-			groups[value.Key("")] = &groupAcc{states: make([]aggState, len(n.Aggs))}
-		}
-		rows := make([]value.Tuple, 0, len(groups))
-		for _, g := range groups {
-			row := make(value.Tuple, 0, len(g.key)+len(n.Aggs))
-			row = append(row, g.key...)
-			for i, a := range n.Aggs {
-				row = append(row, finalValue(a, &g.states[i], info.isFloat[i]))
+// appendAggRow renders one group's aggregates after its key: each
+// aggregate's final value or, for a partial aggregation, its mergeable
+// state (AVG carries its sum and count; the other functions carry their
+// combinable value).
+func appendAggRow(row value.Tuple, info *aggPlanInfo, st []aggState, partial bool) value.Tuple {
+	for i, a := range info.aggs {
+		s := &st[i]
+		if partial && a.Fn == plan.AvgFn {
+			sum := s.isum
+			if info.isFloat[i] {
+				sum = s.fsum
 			}
-			rows = append(rows, row)
+			row = append(row, value.FromFloat(sum), s.cnt)
+			continue
 		}
-		return rows, len(rows), nil
-	})
+		row = append(row, finalValue(a, s, info.isFloat[i]))
+	}
+	return row
 }
 
-// evalPartialAgg emits per-partition partial states: AVG carries (sum,
-// count); the other functions carry their (combinable) value.
+// aggRows renders one partition's groups. A global aggregation over no
+// rows yields its identity row (COUNT()=0) when identity is set.
+func aggRows(info *aggPlanInfo, groups map[value.Key]*groupAcc, partial, identity bool) []value.Tuple {
+	if len(info.groupIdx) == 0 && len(groups) == 0 && identity {
+		groups[value.Key("")] = &groupAcc{states: make([]aggState, len(info.aggs))}
+	}
+	rows := make([]value.Tuple, 0, len(groups))
+	for _, g := range groups {
+		row := append(make(value.Tuple, 0, len(g.key)+len(info.aggs)), g.key...)
+		rows = append(rows, appendAggRow(row, info, g.states, partial))
+	}
+	return rows
+}
+
+// identityRow reports whether partition p of a global aggregation yields
+// the identity row over an empty input. Over a Gathered input only
+// partition 0 is ever consumed downstream, so the row must not be
+// fabricated on the other partitions (phantom rows that inflate work and
+// break trace row conservation). A partial aggregation always contributes
+// one, so the final merge still sees COUNT=0.
+func (ex *executor) identityRow(child plan.Node, partial bool) func(p int) bool {
+	prop := ex.rw.Props[child]
+	gathered := !partial && prop != nil && prop.Gathered
+	return func(p int) bool { return p == 0 || !gathered }
+}
+
+func (ex *executor) evalAggregate(n *plan.AggregateNode) ([][]value.Tuple, error) {
+	top := ex.tb.Begin(n, trace.KindAggregate)
+	return ex.aggregateRows(top, n.Child, n.GroupBy, n.Aggs, false)
+}
+
+// evalPartialAgg emits per-partition partial states (see appendAggRow).
 func (ex *executor) evalPartialAgg(n *plan.PartialAggNode) ([][]value.Tuple, error) {
 	top := ex.tb.Begin(n, trace.KindPartialAgg)
-	in, err := ex.eval(n.Child)
+	return ex.aggregateRows(top, n.Child, n.GroupBy, n.Aggs, true)
+}
+
+// aggregateRows is the row engine's Aggregate and PartialAgg: every
+// partition groups its own rows.
+func (ex *executor) aggregateRows(top *trace.Op, child plan.Node, groupBy []string, aggs []plan.AggExpr, partial bool) ([][]value.Tuple, error) {
+	in, err := ex.eval(child)
 	if err != nil {
 		return nil, err
 	}
 	ex.addInputs(top, in)
-	sch := ex.rw.Schemas[n.Child]
+	sch := ex.rw.Schemas[child]
+	identity := ex.identityRow(child, partial)
 	return forEachPart(ex, top, func(p int) ([]value.Tuple, int, error) {
-		info, err := bindAggs(n.GroupBy, n.Aggs, sch)
+		info, err := bindAggs(groupBy, aggs, sch, false)
 		if err != nil {
 			return nil, 0, err
 		}
-		groups := info.accumulate(in[p])
-		if len(n.GroupBy) == 0 && len(groups) == 0 {
-			// Global aggregation over an empty partition: contribute an
-			// identity state so the final merge still sees COUNT=0.
-			groups[value.Key("")] = &groupAcc{states: make([]aggState, len(n.Aggs))}
-		}
-		var rows []value.Tuple
-		for _, g := range groups {
-			row := append(value.Tuple{}, g.key...)
-			for i, a := range n.Aggs {
-				s := &g.states[i]
-				if a.Fn == plan.AvgFn {
-					sum := s.isum
-					if info.isFloat[i] {
-						sum = s.fsum
-					}
-					row = append(row, value.FromFloat(sum), s.cnt)
-					continue
-				}
-				row = append(row, finalValue(a, s, info.isFloat[i]))
-			}
-			rows = append(rows, row)
-		}
+		rows := aggRows(info, info.accumulate(in[p]), partial, identity(p))
 		return rows, len(rows), nil
 	})
 }
 
 // evalFinalAgg merges partial states (only the coordinator partition has
-// rows after the preceding Gather). The merge is a single work unit on
-// the coordinator node and runs under the same fault model as the
-// fan-out operators.
+// rows after the preceding Gather).
 //
-// lint:ship-boundary coordinator-side merge: consumes every partition's
-// partials on the query goroutine; its input exchange already metered them.
+// lint:ship-boundary coordinator-side merge: reads the gathered partials
+// from, and emits the merged rows on, the coordinator partition.
 func (ex *executor) evalFinalAgg(n *plan.FinalAggNode) ([][]value.Tuple, error) {
 	top := ex.tb.Begin(n, trace.KindFinalAgg)
 	in, err := ex.eval(n.Child)
 	if err != nil {
 		return nil, err
 	}
+	rows, err := ex.finalAgg(top, n, in[0])
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]value.Tuple, ex.n)
+	out[0] = rows
+	return out, nil
+}
+
+// finalAgg merges the gathered partials. The merge is a single work unit
+// on the coordinator node and runs under the same fault model as the
+// fan-out operators.
+//
+// lint:ship-boundary coordinator-side merge: consumes every partition's
+// partials on the query goroutine; its input exchange already metered them.
+func (ex *executor) finalAgg(top *trace.Op, n *plan.FinalAggNode, partials []value.Tuple) ([]value.Tuple, error) {
 	// The merge reads only the coordinator partition (everything is there
 	// after the preceding Gather).
-	top.AddIn(ex.execDst[0], len(in[0]))
+	top.AddIn(ex.execDst[0], len(partials))
 	sch := ex.rw.Schemas[n.Child]
 	op := ex.nextOp()
 	en := ex.execDst[0]
 	start := time.Now()
 	rows, work, err := runUnit(ex, ex.ctx, top, op, 0, en, func(int) ([]value.Tuple, int, error) {
-		rs, err := mergePartials(n, sch, in[0])
+		rs, err := mergePartials(n, sch, partials)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -277,8 +305,6 @@ func (ex *executor) evalFinalAgg(n *plan.FinalAggNode) ([][]value.Tuple, error) 
 	if err != nil {
 		return nil, err
 	}
-	out := make([][]value.Tuple, ex.n)
-	out[0] = rows
 	top.AddOut(en, len(rows))
 	top.AddWork(en, work)
 	if en != 0 {
@@ -288,6 +314,271 @@ func (ex *executor) evalFinalAgg(n *plan.FinalAggNode) ([][]value.Tuple, error) 
 	} else {
 		ex.work(0, work)
 	}
+	return rows, nil
+}
+
+// Columnar aggregation (the vectorized engine's Aggregate, PartialAgg and
+// FinalAgg). A partition's batches fold into dense per-group accumulators:
+// batch.Groups maps each live row to a group id, batch.Project evaluates
+// the compiled arguments once per batch, and one type-specialized loop per
+// aggregate walks the group-id vector. Rows fold in storage order, batch
+// by batch, so each group accumulates its values in exactly the order the
+// row engine's accumulate does — float sums stay bit-identical.
+
+// colAgg is one partition's columnar aggregation state.
+type colAgg struct {
+	info   *aggPlanInfo
+	proj   []*plan.VExpr // the non-nil arguments, projected once per batch
+	argCol []int         // aggregate i's column in the projected batch; -1 for COUNT(*)
+	groups *batch.Groups
+	// states holds group g's accumulators at states[g*na:(g+1)*na], na the
+	// number of aggregates — the per-group layout the row engine's
+	// groupAcc.states has.
+	states []aggState
+	gid    []int32 // group id per live row of the current batch
+}
+
+func newColAgg(info *aggPlanInfo) *colAgg {
+	c := &colAgg{
+		info:   info,
+		argCol: make([]int, len(info.aggs)),
+		groups: batch.NewGroups(info.groupIdx),
+	}
+	for i, e := range info.args {
+		c.argCol[i] = -1
+		if e == nil {
+			continue
+		}
+		c.argCol[i] = len(c.proj)
+		// Aggregates over the same column (Q1's SUM and AVG of quantity)
+		// share one projected column.
+		for j, prev := range c.proj {
+			if e.Op == plan.VCol && prev.Op == plan.VCol && prev.Col == e.Col {
+				c.argCol[i] = j
+			}
+		}
+		if c.argCol[i] == len(c.proj) {
+			c.proj = append(c.proj, e)
+		}
+	}
+	return c
+}
+
+// grow extends the accumulators to ng groups.
+func (c *colAgg) grow(ng int) {
+	if n := ng * len(c.info.aggs); len(c.states) < n {
+		c.states = append(c.states, make([]aggState, n-len(c.states))...)
+	}
+}
+
+// add folds every live row of b into its group's accumulators.
+func (c *colAgg) add(b *batch.Batch) {
+	if b.Len() == 0 {
+		return
+	}
+	c.gid = c.groups.Assign(c.gid[:0], b)
+	c.grow(c.groups.Len())
+	if len(c.proj) == 0 {
+		c.fold(nil)
+		return
+	}
+	args := batch.Project(b, c.proj)
+	c.fold(args)
+	args.Release()
+}
+
+// fold runs each aggregate's loop over the current group-id vector; args
+// holds the projected argument columns.
+func (c *colAgg) fold(args *batch.Batch) {
+	gid := c.gid
+	na := len(c.info.aggs)
+	for i, a := range c.info.aggs {
+		// st[g*na] is aggregate i of group g.
+		st := c.states[i:]
+		if c.argCol[i] < 0 {
+			for _, g := range gid {
+				st[int(g)*na].cnt++ // COUNT(*)
+			}
+			continue
+		}
+		vals := args.Cols[c.argCol[i]][:len(gid)]
+		isFloat := c.info.isFloat[i]
+		switch {
+		case a.Fn == plan.CountFn:
+			for k, g := range gid {
+				if vals[k] != plan.Null {
+					st[int(g)*na].cnt++
+				}
+			}
+		case a.Fn == plan.CountDistinctFn:
+			for k, g := range gid {
+				if v := vals[k]; v != plan.Null {
+					s := &st[int(g)*na]
+					if s.distinct == nil {
+						s.distinct = map[int64]struct{}{}
+					}
+					s.distinct[v] = struct{}{}
+				}
+			}
+		case (a.Fn == plan.SumFn || a.Fn == plan.AvgFn) && isFloat:
+			for k, g := range gid {
+				if v := vals[k]; v != plan.Null {
+					s := &st[int(g)*na]
+					s.cnt++
+					s.fsum += value.ToFloat(v)
+				}
+			}
+		case a.Fn == plan.SumFn || a.Fn == plan.AvgFn:
+			for k, g := range gid {
+				if v := vals[k]; v != plan.Null {
+					s := &st[int(g)*na]
+					s.cnt++
+					s.isum += float64(v)
+				}
+			}
+		case a.Fn == plan.MinFn && isFloat:
+			for k, g := range gid {
+				if v := vals[k]; v != plan.Null {
+					s := &st[int(g)*na]
+					if f := value.ToFloat(v); !s.seen || f < s.fmin {
+						s.fmin = f
+					}
+					s.seen = true
+				}
+			}
+		case a.Fn == plan.MinFn:
+			for k, g := range gid {
+				if v := vals[k]; v != plan.Null {
+					s := &st[int(g)*na]
+					if !s.seen || v < s.min {
+						s.min = v
+					}
+					s.seen = true
+				}
+			}
+		case a.Fn == plan.MaxFn && isFloat:
+			for k, g := range gid {
+				if v := vals[k]; v != plan.Null {
+					s := &st[int(g)*na]
+					if f := value.ToFloat(v); !s.seen || f > s.fmax {
+						s.fmax = f
+					}
+					s.seen = true
+				}
+			}
+		case a.Fn == plan.MaxFn:
+			for k, g := range gid {
+				if v := vals[k]; v != plan.Null {
+					s := &st[int(g)*na]
+					if !s.seen || v > s.max {
+						s.max = v
+					}
+					s.seen = true
+				}
+			}
+		}
+	}
+}
+
+// emit writes one output row per group, in first-seen order, plus the
+// identity row of a global aggregation over no rows when identity is set.
+//
+// lint:batch-owner the returned batches are fresh writer output owned by
+// the caller
+func (c *colAgg) emit(width int, partial, identity bool) []*batch.Batch {
+	ng := c.groups.Len()
+	if ng == 0 && len(c.info.groupIdx) == 0 && identity {
+		ng = 1
+		c.grow(1)
+	}
+	w := batch.NewWriter(width)
+	na := len(c.info.aggs)
+	row := make(value.Tuple, 0, width)
+	for g := 0; g < ng; g++ {
+		row = row[:0]
+		for j := range c.info.groupIdx {
+			row = append(row, c.groups.Key(j, g))
+		}
+		w.AppendTuple(appendAggRow(row, c.info, c.states[g*na:(g+1)*na], partial))
+	}
+	return w.Finish()
+}
+
+// lint:batch-owner the returned batch lists transfer to the caller
+func (ex *executor) evalAggregateVec(n *plan.AggregateNode) (vparts, error) {
+	top := ex.tb.Begin(n, trace.KindAggregate)
+	return ex.aggregateVec(top, n, n.Child, n.GroupBy, n.Aggs, false)
+}
+
+// lint:batch-owner the returned batch lists transfer to the caller
+func (ex *executor) evalPartialAggVec(n *plan.PartialAggNode) (vparts, error) {
+	top := ex.tb.Begin(n, trace.KindPartialAgg)
+	return ex.aggregateVec(top, n, n.Child, n.GroupBy, n.Aggs, true)
+}
+
+// aggregateVec is aggregateRows on batches, charge for charge.
+//
+// lint:batch-owner the returned batch lists transfer to the caller
+func (ex *executor) aggregateVec(top *trace.Op, n, child plan.Node, groupBy []string, aggs []plan.AggExpr, partial bool) (vparts, error) {
+	in, err := ex.evalVec(child)
+	if err != nil {
+		return nil, err
+	}
+	ex.addInputsVec(top, in)
+	info, err := bindAggs(groupBy, aggs, ex.rw.Schemas[child], true)
+	if err != nil {
+		releaseParts(in) // bind failed: the consumed input is dead
+		return nil, err
+	}
+	width := len(ex.rw.Schemas[n])
+	identity := ex.identityRow(child, partial)
+	out, err := forEachPart(ex, top, func(p int) ([]*batch.Batch, int, error) {
+		c := newColAgg(info)
+		for _, b := range in[p] {
+			// A partition's fold is the longest stretch of a local
+			// aggregation: give up between batches once the query is
+			// cancelled or past its deadline.
+			if err := ex.ctx.Err(); err != nil {
+				return nil, 0, err
+			}
+			c.add(b)
+		}
+		bs := c.emit(width, partial, identity(p))
+		return bs, batch.Rows(bs), nil
+	})
+	releaseParts(in) // aggregate output is fresh: input batches are dead
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// evalFinalAggVec merges the gathered partials — at most one row per
+// partition — through the row engine's mergePartials and hands the merged
+// rows on as batches.
+//
+// lint:ship-boundary coordinator-side merge: reads the gathered partials
+// from, and emits the merged rows on, the coordinator partition.
+//
+// lint:batch-owner the returned batch lists transfer to the caller
+func (ex *executor) evalFinalAggVec(n *plan.FinalAggNode) (vparts, error) {
+	top := ex.tb.Begin(n, trace.KindFinalAgg)
+	in, err := ex.evalVec(n.Child)
+	if err != nil {
+		return nil, err
+	}
+	partials := batch.AppendRows(nil, in[0])
+	releaseParts(in) // the partials were copied out: input batches are dead
+	rows, err := ex.finalAgg(top, n, partials)
+	if err != nil {
+		return nil, err
+	}
+	w := batch.NewWriter(len(ex.rw.Schemas[n]))
+	for _, r := range rows {
+		w.AppendTuple(r)
+	}
+	out := make(vparts, ex.n)
+	out[0] = w.Finish()
 	return out, nil
 }
 

@@ -546,7 +546,7 @@ func (ex *executor) shipBatch(top *trace.Op, op, src, rows, width int) error {
 func (ex *executor) eval(n plan.Node) ([][]value.Tuple, error) {
 	// Vectorizable subtrees run on the columnar path and materialize rows
 	// exactly once, here — at the Result boundary or at the input of the
-	// first row-only operator (aggregation, top-k, distinct-by-value).
+	// first row-only operator (top-k, distinct-by-value).
 	if ex.useVec && vectorizable(n) {
 		bs, err := ex.evalVec(n)
 		if err != nil {

@@ -14,9 +14,9 @@ import (
 //
 // evalVec mirrors eval over columnar batches: scans hand out zero-copy
 // views of the table's cached per-column projection, and filter, project,
-// join and the exchange operators process ~1k-row batches with selection
-// vectors instead of materializing []value.Tuple per operator. The mirror
-// is exact where it matters for reproducibility:
+// join, aggregation and the exchange operators process ~1k-row batches
+// with selection vectors instead of materializing []value.Tuple per
+// operator. The mirror is exact where it matters for reproducibility:
 //
 //   - Operator ids: every vectorized operator consumes nextOp() in the
 //     same order as its row twin, so injected fault schedules (keyed on
@@ -26,14 +26,18 @@ import (
 //     against the same conservation laws and benchmarks stay comparable.
 //   - Row order: batches preserve storage order, exchanges append in
 //     (source, row) order like the row engine, so order-sensitive float
-//     accumulation downstream sees identical input sequences and results
-//     are byte-equal.
+//     accumulation sees identical input sequences per group and results
+//     are byte-equal. Aggregation emits its groups in first-seen order
+//     where the row engine's map order is arbitrary; the two agree as row
+//     sets, which is what both engines promise.
 //
-// Operators without a columnar win (aggregation's hash groups, top-k's
-// sort, distinct-by-value's shuffle dedup) stay row-based: eval's
-// dispatcher materializes the vectorized subtree below them exactly once
-// (the row shim), and the row operator proceeds unchanged. A fully
-// vectorizable plan materializes only at the Result boundary.
+// Aggregate and PartialAgg fold batches into dense per-group accumulators
+// (agg.go); FinalAgg merges the few gathered partial rows with the row
+// engine's mergePartials and hands the result on as batches. Top-k's sort
+// and distinct-by-value's shuffle dedup stay row-based: eval's dispatcher
+// materializes the vectorized subtree below them exactly once (the row
+// shim), and the row operator proceeds unchanged. Every other plan
+// materializes only at the Result boundary.
 //
 // Batch ownership follows the batch package's rule: operators never write
 // through a batch they received — filters narrow with fresh selection
@@ -66,16 +70,22 @@ func vectorizable(n plan.Node) bool {
 		return vectorizable(n.Child)
 	case *plan.DistinctPrefNode:
 		return vectorizable(n.Child)
+	case *plan.AggregateNode:
+		return vectorizable(n.Child)
+	case *plan.PartialAggNode:
+		return vectorizable(n.Child)
+	case *plan.FinalAggNode:
+		return vectorizable(n.Child)
 	default:
 		return false
 	}
 }
 
 // materializeParts is the row shim: it converts per-partition batch lists
-// to the row representation at the vectorized/row frontier (and at the
-// Result boundary) — partition p's batches become partition p's rows, so
-// no rows move and nothing is metered; the row engine has no equivalent
-// step.
+// to the row representation at the Result boundary and below the two
+// row-only operators, top-k and distinct-by-value — partition p's batches
+// become partition p's rows, so no rows move and nothing is metered; the
+// row engine has no equivalent step.
 func materializeParts(in vparts) [][]value.Tuple {
 	out := make([][]value.Tuple, 0, len(in))
 	for _, bs := range in {
@@ -147,6 +157,12 @@ func (ex *executor) evalVec(n plan.Node) (vparts, error) {
 		return ex.evalGatherVec(n)
 	case *plan.DistinctPrefNode:
 		return ex.evalDistinctPrefVec(n)
+	case *plan.AggregateNode:
+		return ex.evalAggregateVec(n)
+	case *plan.PartialAggNode:
+		return ex.evalPartialAggVec(n)
+	case *plan.FinalAggNode:
+		return ex.evalFinalAggVec(n)
 	default:
 		return nil, fmt.Errorf("engine: node %T is not vectorizable", n)
 	}
